@@ -24,7 +24,7 @@
 //     tiers: the default tier (millions of refs — catches setup-cost
 //     regressions) and, with --large, a steady-state tier of >= 100M
 //     synthetic refs generated procedurally in memory (no giant trace
-//     file is ever materialized) where partition/merge serial
+//     file is ever materialized) where partition/union serial
 //     fractions, not warm-up, dominate the measurement. Every sweep
 //     point is verified element-identical (ordered collector) or
 //     field-identical (aggregates) to the sequential baseline.
@@ -35,10 +35,9 @@
 //     every deterministic policy) replayed through the sharded
 //     aggregate collector with per-config routing vs a PartitionCache
 //     that routes the trace once and replays it for every
-//     configuration. The tier also A/B-times the count+scatter
-//     router against the fused single-pass router on the same trace
-//     (both must produce identical partitions), and verifies ordered
-//     miss streams are byte-identical cache on vs off.
+//     configuration. The tier also times the routing pass alone and
+//     verifies ordered miss streams are byte-identical cache on vs
+//     off.
 //
 // Emits machine-readable BENCH_sim_throughput.json and
 // BENCH_simshard.json (one entry per tier) in the working directory so
@@ -46,12 +45,11 @@
 // identity check fails. `--smoke` shrinks the workloads for CI;
 // `--json` suppresses the human-readable tables (the JSON files are
 // always written); `--refs N` overrides the large tier's trace length;
-// `--fused-router` replays the sweeps through the fused single-pass
-// router instead of the count+scatter default; `--gate` additionally
-// fails the run if the large tier's 2-shard ordered-collector speedup
-// falls below 1.0x — the CI floor that keeps the sharded engine from
-// regressing below sequential again — or the large sweep-reuse tier's
-// route-once speedup falls below 1.5x over per-config routing.
+// `--gate` additionally fails the run if the large tier's 2-shard
+// ordered-collector speedup falls below 1.0x — the CI floor that keeps
+// the sharded engine from regressing below sequential again — or its
+// 4-shard ordered speedup falls below 1.3x, or the large sweep-reuse
+// tier's route-once speedup falls below 1.5x over per-config routing.
 //
 //===----------------------------------------------------------------------===//
 
@@ -193,7 +191,7 @@ struct ConfigRow {
 };
 
 /// One shard count of the sharded-collector sweep: the ordered
-/// (merged-stream) collector and the merge-elided aggregate collector,
+/// (bitmap-compacted) collector and the merge-elided aggregate collector,
 /// both against the sequential ordered baseline.
 struct ShardRow {
   unsigned Shards = 0;
@@ -247,7 +245,7 @@ ShardTier runShardTier(const std::string &Name, size_t NumRefs,
   for (unsigned K : ShardCounts) {
     // Full machine budget per row: the sweep asks how *shard count*
     // scales on this runner, and the grant spends threads beyond the
-    // shard count on the partition / merge / rebuild phases (they
+    // shard count on the partition / union / compaction phases (they
     // chunk past K). Floor at K so one-core machines still exercise
     // every parallel code path for the identity checks.
     const unsigned Threads =
@@ -295,7 +293,7 @@ ShardTier runShardTier(const std::string &Name, size_t NumRefs,
 
 /// One trace-size tier of the route-once sweep: N configurations
 /// sharing an index geometry replayed with per-config routing vs a
-/// PartitionCache, plus a router A/B on the same trace.
+/// PartitionCache, plus the routing pass timed alone on the same trace.
 struct SweepReuseTier {
   std::string Name;
   size_t TraceRefs = 0;
@@ -306,8 +304,7 @@ struct SweepReuseTier {
   double Speedup = 1.0;
   uint64_t Builds = 0; ///< Partitions routed in reuse mode (want 1).
   uint64_t Reuses = 0; ///< Route-once cache hits (want N - 1).
-  double RouterCsSecs = 0.0;    ///< Count+scatter routing pass alone.
-  double RouterFusedSecs = 0.0; ///< Fused routing pass alone.
+  double RouterSecs = 0.0; ///< Count+scatter routing pass alone.
   bool Identical = true;
 };
 
@@ -315,9 +312,8 @@ struct SweepReuseTier {
 /// eight-config sweep through the sharded aggregate collector with
 /// per-config routing, then again through a PartitionCache, and verify
 /// identical aggregates, byte-identical ordered streams cache on vs
-/// off, exact build/hit accounting, and router A/B partition identity.
-SweepReuseTier runSweepReuseTier(const std::string &Name, size_t NumRefs,
-                                 PartitionRouter Router) {
+/// off, and exact build/hit accounting.
+SweepReuseTier runSweepReuseTier(const std::string &Name, size_t NumRefs) {
   // Twelve configurations sharing one index geometry (64 sets x 64B
   // lines): four L1-class sizes with matching associativity — the
   // paper's own L1 (32K/8-way, 64 sets) included — x every
@@ -363,7 +359,6 @@ SweepReuseTier runSweepReuseTier(const std::string &Name, size_t NumRefs,
     Ctx.Stats = &Stats;
     Ctx.Shards = SweepShards;
     Ctx.MinRefsToShard = 0;
-    Ctx.Router = Router;
     Ctx.Partitions = Cache;
     Ctx.TraceId = TraceId;
     return Ctx;
@@ -438,24 +433,18 @@ SweepReuseTier runSweepReuseTier(const std::string &Name, size_t NumRefs,
     OrderedCache.releaseTrace(OrderedId);
   }
 
-  // Router A/B: the routing pass alone — count+scatter vs fused — on
-  // this tier's trace. Both must produce the identical partition.
+  // The routing pass alone on this tier's trace: the P of the Amdahl
+  // bound N(P+R)/(P+NR) that route-once reuse amortizes.
   {
     const CacheGeometry IndexGeometry = Configs.front().Geometry;
     const std::vector<SetRange> Plan =
         planShards(IndexGeometry.numSets(), SweepShards);
     partitionBySetParallel(T.records(), IndexGeometry, Plan, Pool,
                            Threads - 1); // warm-up
-    Clock::time_point CsStart = Clock::now();
-    const ShardPartition Cs = partitionBySetParallel(
-        T.records(), IndexGeometry, Plan, Pool, Threads - 1);
-    Tier.RouterCsSecs = secondsSince(CsStart);
-    Clock::time_point FusedStart = Clock::now();
-    const ShardPartition Fused = partitionBySetFused(
-        T.records(), IndexGeometry, Plan, Pool, Threads - 1);
-    Tier.RouterFusedSecs = secondsSince(FusedStart);
-    Tier.Identical = Tier.Identical && Fused.Arena == Cs.Arena &&
-                     Fused.Offsets == Cs.Offsets;
+    Clock::time_point Start = Clock::now();
+    partitionBySetParallel(T.records(), IndexGeometry, Plan, Pool,
+                           Threads - 1);
+    Tier.RouterSecs = secondsSince(Start);
   }
   return Tier;
 }
@@ -467,7 +456,6 @@ int main(int Argc, char **Argv) {
   bool JsonOnly = false;
   bool Large = false;
   bool Gate = false;
-  PartitionRouter Router = PartitionRouter::CountScatter;
   size_t LargeRefs = 100'000'000;
   for (int I = 1; I < Argc; ++I) {
     if (std::strcmp(Argv[I], "--smoke") == 0)
@@ -478,13 +466,11 @@ int main(int Argc, char **Argv) {
       Large = true;
     else if (std::strcmp(Argv[I], "--gate") == 0)
       Gate = true;
-    else if (std::strcmp(Argv[I], "--fused-router") == 0)
-      Router = PartitionRouter::Fused;
     else if (std::strcmp(Argv[I], "--refs") == 0 && I + 1 < Argc)
       LargeRefs = static_cast<size_t>(std::strtoull(Argv[++I], nullptr, 10));
     else {
       std::cerr << "usage: sim_throughput [--smoke] [--json] [--large] "
-                   "[--refs N] [--fused-router] [--gate]\n";
+                   "[--refs N] [--gate]\n";
       return 2;
     }
   }
@@ -634,10 +620,9 @@ int main(int Argc, char **Argv) {
   // --- 4. Route once, replay many: partition reuse across a sweep -------
   std::vector<SweepReuseTier> ReuseTiers;
   ReuseTiers.push_back(runSweepReuseTier(Smoke ? "smoke" : "standard",
-                                         Smoke ? 400'000 : 8'000'000,
-                                         Router));
+                                         Smoke ? 400'000 : 8'000'000));
   if (Large)
-    ReuseTiers.push_back(runSweepReuseTier("large", LargeRefs, Router));
+    ReuseTiers.push_back(runSweepReuseTier("large", LargeRefs));
   bool ReuseIdentical = true;
   for (const SweepReuseTier &Tier : ReuseTiers)
     ReuseIdentical = ReuseIdentical && Tier.Identical;
@@ -645,32 +630,26 @@ int main(int Argc, char **Argv) {
   if (!JsonOnly) {
     TextTable ReuseTable({"tier", "configs", "per-config (s)",
                           "route-once (s)", "speedup", "routed/reused",
-                          "router cs (s)", "router fused (s)", "exact =="});
+                          "routing (s)", "exact =="});
     for (const SweepReuseTier &Tier : ReuseTiers) {
-      std::ostringstream PerConfig, Reuse, Cs, Fused;
+      std::ostringstream PerConfig, Reuse, Routing;
       PerConfig.precision(3);
       PerConfig << std::fixed << Tier.PerConfigSecs;
       Reuse.precision(3);
       Reuse << std::fixed << Tier.ReuseSecs;
-      Cs.precision(3);
-      Cs << std::fixed << Tier.RouterCsSecs;
-      Fused.precision(3);
-      Fused << std::fixed << Tier.RouterFusedSecs;
+      Routing.precision(3);
+      Routing << std::fixed << Tier.RouterSecs;
       ReuseTable.addRow({Tier.Name, std::to_string(Tier.NumConfigs),
                          PerConfig.str(), Reuse.str(), fmtX(Tier.Speedup),
                          std::to_string(Tier.Builds) + "/" +
                              std::to_string(Tier.Reuses),
-                         Cs.str(), Fused.str(),
-                         Tier.Identical ? "yes" : "NO"});
+                         Routing.str(), Tier.Identical ? "yes" : "NO"});
     }
     std::cout << "[route once, replay many]\n"
               << ReuseTable.render()
               << "(12 configs sharing 64 sets x 64B lines — 4K/1w..32K/8w "
                  "x {LRU, FIFO, TreePLRU} — aggregate collector at "
-              << ReuseTiers.front().Shards << " shards; replay router: "
-              << (Router == PartitionRouter::Fused ? "fused"
-                                                   : "count+scatter")
-              << ")\n\n";
+              << ReuseTiers.front().Shards << " shards)\n\n";
   }
 
   // --- Speedup gate (CI) ------------------------------------------------
@@ -682,19 +661,31 @@ int main(int Argc, char **Argv) {
   // twelve-config L1-class sweep: with routing P comparable to one
   // low-associativity aggregate replay R on a serialized box, twelve
   // configs bound the payoff well above 1.6x, so 1.5x trips on "the
-  // cache stopped reusing" rather than on measurement noise.
+  // cache stopped reusing" rather than on measurement noise. The
+  // 4-shard floor sits below every 4-shard speedup the bitmap collector
+  // measured on the 100M-ref tier of a shared 4-core machine
+  // (1.48-1.85x over seven runs, while the sequential baseline alone
+  // ranged 17-31M refs/s) and above the 0.8-0.9x of the merge-based
+  // collector it replaced: it trips when the ordered path stops
+  // scaling past two shards (a serial union, compaction or arena
+  // fill), which the 2-shard floor alone cannot see.
   constexpr double GateFloor2Shards = 1.0;
+  constexpr double GateFloor4Shards = 1.3;
   constexpr double GateFloorSweepReuse = 1.5;
   bool GatePassed = true;
   // Recorded in the JSON even when the gate is advisory, so local and
   // CI trajectories stay comparable.
-  double Gate2ShardSpeedup = 0.0;
-  for (const ShardRow &Row : Tiers.back().Sweep)
+  double Gate2ShardSpeedup = 0.0, Gate4ShardSpeedup = 0.0;
+  for (const ShardRow &Row : Tiers.back().Sweep) {
     if (Row.Shards == 2)
       Gate2ShardSpeedup = Row.StreamSpeedup;
+    if (Row.Shards == 4)
+      Gate4ShardSpeedup = Row.StreamSpeedup;
+  }
   const double GateSweepSpeedup = ReuseTiers.back().Speedup;
   if (Gate)
     GatePassed = Gate2ShardSpeedup >= GateFloor2Shards &&
+                 Gate4ShardSpeedup >= GateFloor4Shards &&
                  GateSweepSpeedup >= GateFloorSweepReuse;
 
   // --- Machine-readable trajectory --------------------------------------
@@ -762,9 +753,6 @@ int main(int Argc, char **Argv) {
       Json << "     ]}" << (TI + 1 < Tiers.size() ? "," : "") << "\n";
     }
     Json << "  ],\n"
-         << "  \"replay_router\": \""
-         << (Router == PartitionRouter::Fused ? "fused" : "count_scatter")
-         << "\",\n"
          << "  \"sweep_reuse\": [\n";
     for (size_t TI = 0; TI < ReuseTiers.size(); ++TI) {
       const SweepReuseTier &Tier = ReuseTiers[TI];
@@ -777,8 +765,8 @@ int main(int Argc, char **Argv) {
            << ", \"speedup\": " << Tier.Speedup << ",\n"
            << "     \"partitions_routed\": " << Tier.Builds
            << ", \"partitions_reused\": " << Tier.Reuses << ",\n"
-           << "     \"router_count_scatter_seconds\": " << Tier.RouterCsSecs
-           << ", \"router_fused_seconds\": " << Tier.RouterFusedSecs << ",\n"
+           << "     \"router_count_scatter_seconds\": " << Tier.RouterSecs
+           << ",\n"
            << "     \"identical\": " << (Tier.Identical ? "true" : "false")
            << "}" << (TI + 1 < ReuseTiers.size() ? "," : "") << "\n";
     }
@@ -786,6 +774,8 @@ int main(int Argc, char **Argv) {
          << "  \"gate\": {\"enforced\": " << (Gate ? "true" : "false")
          << ", \"floor_2shard_speedup\": " << GateFloor2Shards
          << ", \"speedup_2shards\": " << Gate2ShardSpeedup
+         << ", \"floor_4shard_speedup\": " << GateFloor4Shards
+         << ", \"speedup_4shards\": " << Gate4ShardSpeedup
          << ", \"floor_sweep_reuse_speedup\": " << GateFloorSweepReuse
          << ", \"sweep_reuse_speedup\": " << GateSweepSpeedup
          << ", \"passed\": " << (GatePassed ? "true" : "false") << "}\n"
@@ -807,15 +797,16 @@ int main(int Argc, char **Argv) {
   }
   if (!ReuseIdentical) {
     std::cerr << "error: route-once sweep differs from per-config routing "
-                 "(aggregates, ordered bytes, reuse accounting, or router "
-                 "A/B partition)\n";
+                 "(aggregates, ordered bytes, or reuse accounting)\n";
     return 1;
   }
   if (!GatePassed) {
     std::cerr << "error: speedup gate failed — large-tier 2-shard speedup "
               << Gate2ShardSpeedup << "x vs " << GateFloor2Shards
-              << "x floor, sweep-reuse speedup " << GateSweepSpeedup
-              << "x vs " << GateFloorSweepReuse << "x floor\n";
+              << "x floor, 4-shard speedup " << Gate4ShardSpeedup << "x vs "
+              << GateFloor4Shards << "x floor, sweep-reuse speedup "
+              << GateSweepSpeedup << "x vs " << GateFloorSweepReuse
+              << "x floor\n";
     return 1;
   }
   return 0;

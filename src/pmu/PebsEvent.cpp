@@ -11,7 +11,10 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstddef>
+#include <cstring>
 
 using namespace ccprof;
 
@@ -36,7 +39,7 @@ ShardGrant acquireShardGrant(const SimContext &Ctx, uint64_t NumSets,
     return Grant;
 
   // The grant asks the budget for every pool worker, not Shards - 1:
-  // partition chunks, merge segments, and the event rebuild all
+  // partition chunks, the bitmap union, and event compaction all
   // parallelize past the shard count, so slots beyond the replay's
   // need still cut the serial fraction. Replay simply leaves extra
   // workers idle (parallelFor hands out at most one token per shard).
@@ -70,38 +73,82 @@ void releaseShardGrant(const SimContext &Ctx, const ShardGrant &Grant) {
     Ctx.Budget->release(Grant.Helpers);
 }
 
+/// Replays every shard of \p Parts through a windowed cache of
+/// \p Geometry, each shard marking its misses in its own bitmap over
+/// the \p NumRefs routed references, and \returns the union — the
+/// global miss set in sequence order, with no merge.
+MissUnion replayShards(const ShardPartition &Parts,
+                       std::span<const SetRange> Plan,
+                       const CacheGeometry &Geometry, ReplacementKind Policy,
+                       size_t NumRefs, bool MarkStores, const SimContext &Ctx,
+                       unsigned Helpers) {
+  std::vector<MissBitmap> PerShard(Plan.size());
+  Ctx.Pool->parallelFor(Plan.size(), Helpers, [&](size_t S) {
+    std::unique_ptr<Cache> ShardCache =
+        Ctx.CachePool ? Ctx.CachePool->acquire(Geometry, Policy, Plan[S])
+                      : std::make_unique<Cache>(Geometry, Plan[S], Policy);
+    PerShard[S] =
+        simulateShardBitmap(*ShardCache, Parts.shard(S), NumRefs, MarkStores);
+    if (Ctx.CachePool)
+      Ctx.CachePool->park(std::move(ShardCache));
+  });
+  return unionMissBitmaps(PerShard, *Ctx.Pool, Helpers);
+}
+
 /// Shards the full reference stream through caches of \p Geometry and
-/// \returns the globally-ordered sequence numbers of every missing
-/// access (loads and stores alike — callers filter). The partition is
+/// \returns the union of the shard miss bitmaps. The partition is
 /// served from Ctx.Partitions when the context carries a registered
 /// trace — the "route once, replay many" path a config sweep hits —
 /// and routed on the spot otherwise (block-parallel with helpers,
 /// sequential two-pass fill in the degraded explicit-shards mode).
-std::vector<uint64_t> shardedMissSeqs(std::span<const MemoryRecord> Records,
-                                      const CacheGeometry &Geometry,
-                                      ReplacementKind Policy,
-                                      const SimContext &Ctx,
-                                      const ShardGrant &Grant) {
+MissUnion shardedMisses(std::span<const MemoryRecord> Records,
+                        const CacheGeometry &Geometry, ReplacementKind Policy,
+                        bool MarkStores, const SimContext &Ctx,
+                        const ShardGrant &Grant) {
   const std::vector<SetRange> Plan = planShards(Geometry.numSets(),
                                                 Grant.Shards);
   const PartitionCache::PartitionPtr Parts =
       routeOrReuse(Records, Geometry, Plan, Ctx, Grant.Helpers);
+  return replayShards(*Parts, Plan, Geometry, Policy, Records.size(),
+                      MarkStores, Ctx, Grant.Helpers);
+}
 
-  std::vector<std::vector<uint64_t>> PerShard(Plan.size());
-  Ctx.Pool->parallelFor(Plan.size(), Grant.Helpers, [&](size_t S) {
-    std::unique_ptr<Cache> ShardCache =
-        Ctx.CachePool ? Ctx.CachePool->acquire(Geometry, Policy, Plan[S])
-                      : std::make_unique<Cache>(Geometry, Plan[S], Policy);
-    simulateShard(*ShardCache, Parts->shard(S), PerShard[S]);
-    if (Ctx.CachePool)
-      Ctx.CachePool->park(std::move(ShardCache));
+/// Emits one event per set bit of \p Misses, in ascending sequence
+/// order. Chunks write disjoint slices fixed by the union's popcount
+/// prefix, so the stream is identical at every helper count.
+template <typename EventFn>
+std::vector<MissEvent> compactMisses(const MissUnion &Misses,
+                                     const SimContext &Ctx, unsigned Helpers,
+                                     EventFn EventOf) {
+  const size_t NumChunks = Misses.Chunks.size() - 1;
+  std::vector<MissEvent> Stream;
+  Stream.reserve(Misses.count());
+  // A long stream is a fresh mapping that faults once per page on first
+  // touch, and resize() would take every fault on this thread (0.85 s
+  // of a 2.6 s collection at 100M refs on 4 cores). Each chunk touches
+  // the raw bytes of its own slice first, so the faults run in parallel
+  // and resize() only rewrites mapped pages.
+  std::byte *const Raw = reinterpret_cast<std::byte *>(Stream.data());
+  Ctx.Pool->parallelFor(NumChunks, Helpers, [&](size_t C) {
+    const size_t Events = Misses.Offsets[C + 1] - Misses.Offsets[C];
+    if (Events != 0)
+      std::memset(Raw + Misses.Offsets[C] * sizeof(MissEvent), 0,
+                  Events * sizeof(MissEvent));
   });
-  return mergeMissSeqs(PerShard, Ctx.Pool, Grant.Helpers);
+  Stream.resize(Misses.count());
+  Ctx.Pool->parallelFor(NumChunks, Helpers, [&](size_t C) {
+    size_t Out = Misses.Offsets[C];
+    for (size_t W = Misses.Chunks[C]; W < Misses.Chunks[C + 1]; ++W)
+      for (uint64_t Word = Misses.Bits[W]; Word != 0; Word &= Word - 1)
+        Stream[Out++] = EventOf(W * 64 + std::countr_zero(Word));
+    assert(Out == Misses.Offsets[C + 1] && "chunk must fill its exact slice");
+  });
+  return Stream;
 }
 
 /// Aggregate-only sharded replay: per-shard counters and per-set miss
-/// counts combine without ever reconstructing global order — the merge
-/// is elided outright.
+/// counts combine without ever reconstructing global order — no
+/// bitmap, no union, no events.
 MissStreamAggregates
 shardedMissAggregates(std::span<const MemoryRecord> Records,
                       const CacheGeometry &Geometry, ReplacementKind Policy,
@@ -138,60 +185,6 @@ shardedMissAggregates(std::span<const MemoryRecord> Records,
   if (Ctx.Stats)
     Ctx.Stats->ElidedMerges.fetch_add(1, std::memory_order_relaxed);
   return Agg;
-}
-
-/// Rebuilds a MissEvent stream from merged miss indices. The tail is
-/// proportional to the miss count, so it gets the same count / prefix
-/// / scatter treatment as the partition instead of running serially:
-/// chunks count their kept events, a prefix sum assigns disjoint
-/// output slices, and the scatter fills them. The chunk grid never
-/// changes the bytes produced — only who writes them — so the stream
-/// stays identical at every helper count. \p KeepAll short-circuits
-/// the count pass when every index yields an event; \p KeepsEvent and
-/// \p EventOf map a merged index to its filter decision and event.
-template <typename KeepFn, typename EventFn>
-std::vector<MissEvent> rebuildEvents(std::span<const uint64_t> Seqs,
-                                     bool KeepAll, KeepFn KeepsEvent,
-                                     EventFn EventOf, const SimContext &Ctx,
-                                     unsigned Helpers) {
-  std::vector<MissEvent> Stream;
-  if (Helpers > 0 && !Seqs.empty()) {
-    const std::vector<size_t> Chunks =
-        planChunks(Seqs.size(), Helpers + 1, size_t{1} << 15);
-    const size_t NumChunks = Chunks.size() - 1;
-    std::vector<size_t> Offsets(NumChunks + 1, 0);
-    if (KeepAll) {
-      // Every miss becomes an event: offsets are the chunk bounds.
-      Offsets = Chunks;
-    } else {
-      Ctx.Pool->parallelFor(NumChunks, Helpers, [&](size_t C) {
-        size_t Kept = 0;
-        for (size_t I = Chunks[C]; I < Chunks[C + 1]; ++I)
-          Kept += KeepsEvent(Seqs[I]) ? 1 : 0;
-        Offsets[C + 1] = Kept;
-      });
-      for (size_t C = 0; C < NumChunks; ++C)
-        Offsets[C + 1] += Offsets[C];
-    }
-    Stream.resize(Offsets.back());
-    Ctx.Pool->parallelFor(NumChunks, Helpers, [&](size_t C) {
-      size_t Out = Offsets[C];
-      for (size_t I = Chunks[C]; I < Chunks[C + 1]; ++I) {
-        if (!KeepsEvent(Seqs[I]))
-          continue;
-        Stream[Out++] = EventOf(Seqs[I]);
-      }
-      assert(Out == Offsets[C + 1] && "chunk must fill its exact slice");
-    });
-  } else {
-    Stream.reserve(Seqs.size());
-    for (uint64_t Seq : Seqs) {
-      if (!KeepsEvent(Seq))
-        continue;
-      Stream.push_back(EventOf(Seq));
-    }
-  }
-  return Stream;
 }
 
 /// Sequential aggregate collection: the same replay as
@@ -291,21 +284,14 @@ std::vector<MissEvent> ccprof::collectL1MissStreamParallel(
     return collectL1MissStream(Execution, Geometry, Options);
   }
 
-  const std::vector<uint64_t> MissSeqs = shardedMissSeqs(
-      Execution.records(), Geometry, Options.Policy, Ctx, Grant);
-
-  // Rebuild the MissEvent stream from the merged sequence numbers.
   const std::span<const MemoryRecord> Records = Execution.records();
-  std::vector<MissEvent> Stream = rebuildEvents(
-      MissSeqs, Options.IncludeStores,
-      [&](uint64_t Seq) {
-        return !Records[Seq].IsWrite || Options.IncludeStores;
-      },
-      [&](uint64_t Seq) {
+  const MissUnion Misses = shardedMisses(Records, Geometry, Options.Policy,
+                                         Options.IncludeStores, Ctx, Grant);
+  std::vector<MissEvent> Stream =
+      compactMisses(Misses, Ctx, Grant.Helpers, [&](uint64_t Seq) {
         const MemoryRecord &Record = Records[Seq];
         return MissEvent{Record.Site, Record.Addr, Record.Addr};
-      },
-      Ctx, Grant.Helpers);
+      });
   releaseShardGrant(Ctx, Grant);
   return Stream;
 }
@@ -326,81 +312,72 @@ std::vector<MissEvent> ccprof::collectL2MissStreamParallel(
   }
 
   // Stage 1 (sharded): the full-trace L1 replay, by far the dominant
-  // cost. Every L1 miss reaches L2 regardless of load/store, so no
-  // filtering happens here.
-  const std::vector<uint64_t> L1MissSeqs = shardedMissSeqs(
-      Execution.records(), L1Geometry, Options.Policy, Ctx, Grant);
+  // cost. Every L1 miss reaches L2 regardless of load/store, so the
+  // bitmaps mark stores too.
+  const std::span<const MemoryRecord> Records = Execution.records();
+  const MissUnion L1Misses =
+      shardedMisses(Records, L1Geometry, Options.Policy,
+                    /*MarkStores=*/true, Ctx, Grant);
   releaseShardGrant(Ctx, Grant);
 
   // Translation pass (sequential): PageMapper allocates frames at
   // first touch, so the translation *order* is semantic — it must
-  // follow the merged global miss order exactly, or physical layouts
-  // (and with them L2 set conflicts) would drift across execution
-  // shapes. The pass emits one ShardRef per L1 miss whose "sequence"
-  // is its index into L1MissSeqs: locally dense, globally ordered, and
-  // exactly what the stage-2 merge needs to be deterministic.
-  const std::span<const MemoryRecord> Records = Execution.records();
-  std::vector<ShardRef> L2Refs(L1MissSeqs.size());
-  for (size_t I = 0; I < L1MissSeqs.size(); ++I) {
-    const MemoryRecord &Record = Records[L1MissSeqs[I]];
-    L2Refs[I] =
-        ShardRef::make(I, Mapper.translate(Record.Addr), Record.IsWrite);
+  // follow the global miss order exactly, or physical layouts (and
+  // with them L2 set conflicts) would drift across execution shapes.
+  // Walking the union's set bits in ascending order is that order.
+  // Each L1 miss becomes one ShardRef carrying its record index as
+  // seq, so an event reads Records[seq] directly.
+  std::vector<ShardRef> L2Refs;
+  L2Refs.reserve(L1Misses.count());
+  for (size_t W = 0; W < L1Misses.Bits.size(); ++W) {
+    for (uint64_t Word = L1Misses.Bits[W]; Word != 0; Word &= Word - 1) {
+      const uint64_t Seq = W * 64 + std::countr_zero(Word);
+      const MemoryRecord &Record = Records[Seq];
+      L2Refs.push_back(ShardRef::make(Seq, Mapper.translate(Record.Addr),
+                                      Record.IsWrite));
+    }
   }
 
   // Stage 2: replay the translated miss stream through L2, sharded by
   // L2 set when the stream is long enough to be worth a second grant
   // (the same per-set independence argument applies — only the
-  // addresses now are physical). Sequential otherwise: the merged L1
-  // miss list is usually a small fraction of the trace.
+  // addresses now are physical). Sequential otherwise: the L1 miss
+  // stream is usually a small fraction of the trace.
   const ShardGrant Grant2 = acquireShardGrant(
       Ctx, L2Geometry.numSets(), L2Refs.size(), /*IsL2Stage2=*/true);
-  auto KeepsEvent = [&](uint64_t Idx) {
-    return !Records[L1MissSeqs[Idx]].IsWrite || Options.IncludeStores;
-  };
   auto EventOf = [&](uint64_t Idx) {
-    const MemoryRecord &Record = Records[L1MissSeqs[Idx]];
-    return MissEvent{Record.Site, L2Refs[Idx].Addr, Record.Addr};
+    const ShardRef &Ref = L2Refs[Idx];
+    return MissEvent{Records[Ref.seq()].Site, Ref.Addr,
+                     Records[Ref.seq()].Addr};
   };
   if (Grant2.Shards <= 1 && Grant2.Helpers == 0) {
     releaseShardGrant(Ctx, Grant2);
     Cache L2(L2Geometry, Options.Policy);
     std::vector<MissEvent> Stream;
     Stream.reserve(L2Refs.size() / 4 + 16);
-    for (const ShardRef &Ref : L2Refs) {
-      if (L2.access(Ref.Addr, Ref.isWrite()).Hit)
+    for (size_t I = 0; I < L2Refs.size(); ++I) {
+      if (L2.access(L2Refs[I].Addr, L2Refs[I].isWrite()).Hit)
         continue;
-      if (!KeepsEvent(Ref.seq()))
+      if (L2Refs[I].isWrite() && !Options.IncludeStores)
         continue;
-      Stream.push_back(EventOf(Ref.seq()));
+      Stream.push_back(EventOf(I));
     }
     return Stream;
   }
 
+  // The stage-2 partition re-sequences refs by their L1-miss index, so
+  // the stage-2 bitmaps are indexed by it. No reuse cache here: the
+  // stage-2 input is an L1-config-dependent miss stream, not the
+  // trace, so no two configs share it.
   const std::vector<SetRange> L2Plan =
       planShards(L2Geometry.numSets(), Grant2.Shards);
-  // No reuse cache here: the stage-2 input is an L1-config-dependent
-  // miss stream, not the trace, so no two configs share it.
-  const ShardPartition L2Parts =
-      Grant2.Helpers > 0
-          ? partitionRefsBySetParallel(L2Refs, L2Geometry, L2Plan, *Ctx.Pool,
-                                       Grant2.Helpers)
-          : partitionRefsBySet(L2Refs, L2Geometry, L2Plan);
-  std::vector<std::vector<uint64_t>> PerShard(L2Plan.size());
-  Ctx.Pool->parallelFor(L2Plan.size(), Grant2.Helpers, [&](size_t S) {
-    std::unique_ptr<Cache> ShardCache =
-        Ctx.CachePool
-            ? Ctx.CachePool->acquire(L2Geometry, Options.Policy, L2Plan[S])
-            : std::make_unique<Cache>(L2Geometry, L2Plan[S], Options.Policy);
-    simulateShard(*ShardCache, L2Parts.shard(S), PerShard[S]);
-    if (Ctx.CachePool)
-      Ctx.CachePool->park(std::move(ShardCache));
-  });
-  const std::vector<uint64_t> L2MissIdx =
-      mergeMissSeqs(PerShard, Ctx.Pool, Grant2.Helpers);
-
-  std::vector<MissEvent> Stream = rebuildEvents(
-      L2MissIdx, Options.IncludeStores, KeepsEvent, EventOf, Ctx,
-      Grant2.Helpers);
+  const ShardPartition L2Parts = partitionRefsBySet(
+      L2Refs, L2Geometry, L2Plan, *Ctx.Pool, Grant2.Helpers);
+  const MissUnion L2Misses =
+      replayShards(L2Parts, L2Plan, L2Geometry, Options.Policy, L2Refs.size(),
+                   Options.IncludeStores, Ctx, Grant2.Helpers);
+  std::vector<MissEvent> Stream =
+      compactMisses(L2Misses, Ctx, Grant2.Helpers, EventOf);
   releaseShardGrant(Ctx, Grant2);
   return Stream;
 }

@@ -15,6 +15,13 @@
 /// of by the hardware, which preserves the exact (IP, address) tuple
 /// distribution the real PMU would deliver.
 ///
+/// The parallel collectors shard the replay by cache set. Each shard
+/// marks its misses in a bitmap indexed by global sequence number; the
+/// OR of the shard bitmaps is the sequential miss set, and a popcount
+/// prefix over chunks of its words lets every chunk write its events
+/// into a disjoint slice of the output, in trace order, with no merge
+/// and no intermediate miss list (see sim/ShardedSim.h).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CCPROF_PMU_PEBSEVENT_H
@@ -81,8 +88,8 @@ std::vector<MissEvent> collectL2MissStream(const Trace &Execution,
                                            MissStreamOptions Options = {});
 
 /// Aggregate view of a miss-stream simulation, for callers that need
-/// statistics but not the ordered event stream — the merge-elision
-/// fast path of the sharded engine: per-shard counters combine
+/// statistics but not the ordered event stream — the fast path of the
+/// sharded engine: per-shard counters combine
 /// directly (addition is order-free), so no global miss order is ever
 /// reconstructed. Field-for-field consistent with the ordered
 /// collector: Events equals the stream length collectL1MissStream
@@ -103,8 +110,8 @@ struct MissStreamAggregates {
 
 /// Replays \p Execution through an L1 cache of \p Geometry and \returns
 /// only aggregate statistics. With a sharding-capable \p Ctx the
-/// per-shard replays run in parallel and the ordered merge is elided
-/// entirely (Ctx.Stats counts the elisions); the returned aggregates
+/// per-shard replays run in parallel and no miss bitmap or event is
+/// built (Ctx.Stats counts these as ElidedMerges); the returned aggregates
 /// are identical to those derived from the ordered collectors at every
 /// execution shape, including the sequential fallbacks (Random policy,
 /// short traces, no pool).
@@ -115,9 +122,10 @@ collectL1MissAggregates(const Trace &Execution, const CacheGeometry &Geometry,
 
 /// Set-sharded parallel variant of collectL1MissStream: partitions the
 /// trace by set index, simulates contiguous set ranges on \p Ctx's
-/// thread pool, and k-way merges the per-shard miss lists by global
-/// sequence number. The returned stream is element-identical to the
-/// sequential collector's at every shard and thread count. Falls back
+/// thread pool into per-shard miss bitmaps, ORs them, and compacts the
+/// set bits into events chunk-parallel. The returned stream is
+/// element-identical to the sequential collector's at every shard and
+/// thread count. Falls back
 /// to the sequential path when \p Ctx has no pool, the trace is below
 /// Ctx.MinRefsToShard, the geometry has a single set, or the policy is
 /// Random (whose cache-global RNG makes set-decomposition inexact).
@@ -128,9 +136,10 @@ collectL1MissStreamParallel(const Trace &Execution,
 
 /// Set-sharded parallel variant of collectL2MissStream. The dominant
 /// cost — replaying the full trace through L1 — is sharded by L1 set.
-/// The merged L1 miss list then drives the page mapper sequentially
-/// (frame allocation is first-touch, so translation *order* is
-/// semantic and must follow global miss order), after which the
+/// A sequential walk over the set bits of the L1 miss bitmap then
+/// drives the page mapper (frame allocation is first-touch, so
+/// translation *order* is semantic and must follow global miss order),
+/// after which the
 /// translated stream is itself partitioned by L2 set and replayed
 /// sharded when it is long enough to clear Ctx.MinRefsToShard
 /// (Ctx.Stats->L2StageShardedSims counts those), sequentially

@@ -37,6 +37,11 @@ namespace {
 /// garbage length field.
 constexpr size_t MaxUploadBytes = 256u << 20;
 
+/// Longest command line the daemon buffers while waiting for its '\n'.
+/// A PUT header is a few dozen bytes; without a cap, a client that
+/// never sends a newline grows the buffer without bound.
+constexpr size_t MaxHeaderBytes = 4096;
+
 constexpr const char *TraceExtension = ".cctr";
 
 /// Buffered line/exact reader over a socket fd. read(2) on the
@@ -63,18 +68,23 @@ struct FdReader {
     }
   }
 
-  /// Reads up to a '\n' (not included). \returns false on EOF/timeout.
-  bool readLine(std::string &Line) {
+  enum class LineStatus { Ok, Closed, TooLong };
+
+  /// Reads up to a '\n' (not included). \returns Closed on EOF/timeout
+  /// and TooLong once more than MaxHeaderBytes arrive without one.
+  LineStatus readLine(std::string &Line) {
     for (;;) {
       const size_t Nl = Buf.find('\n', Pos);
-      if (Nl != std::string::npos) {
+      if (Nl != std::string::npos && Nl - Pos <= MaxHeaderBytes) {
         Line = Buf.substr(Pos, Nl - Pos);
         Pos = Nl + 1;
         compact();
-        return true;
+        return LineStatus::Ok;
       }
+      if (Buf.size() - Pos > MaxHeaderBytes)
+        return LineStatus::TooLong;
       if (!fill())
-        return false;
+        return LineStatus::Closed;
     }
   }
 
@@ -379,7 +389,14 @@ void Ccprofd::handleConnection(int Fd) {
   FdReader Reader;
   Reader.Fd = Fd;
   std::string Line;
-  while (!Stopping.load() && Reader.readLine(Line)) {
+  while (!Stopping.load()) {
+    const FdReader::LineStatus Status = Reader.readLine(Line);
+    if (Status == FdReader::LineStatus::TooLong) {
+      writeAll(Fd, "ERR header too long\n");
+      return;
+    }
+    if (Status == FdReader::LineStatus::Closed)
+      return;
     std::istringstream Tokens(Line);
     std::string Command;
     Tokens >> Command;

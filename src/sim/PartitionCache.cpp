@@ -129,13 +129,9 @@ ccprof::routeOrReuse(std::span<const MemoryRecord> Records,
                      std::span<const SetRange> Plan, const SimContext &Ctx,
                      unsigned Helpers) {
   auto Route = [&]() -> ShardPartition {
-    if (Helpers > 0) {
-      if (Ctx.Router == PartitionRouter::Fused)
-        return partitionBySetFused(Records, Geometry, Plan, *Ctx.Pool,
-                                   Helpers);
+    if (Helpers > 0)
       return partitionBySetParallel(Records, Geometry, Plan, *Ctx.Pool,
                                     Helpers);
-    }
     return partitionBySet(Records, Geometry, Plan);
   };
 

@@ -140,9 +140,8 @@ private:
 /// partition of \p Records by \p Plan — served from Ctx.Partitions
 /// when the context carries a registered trace, routed on the spot
 /// otherwise. Routing runs block-parallel on Ctx.Pool when
-/// \p Helpers > 0 (via the router Ctx.Router selects), sequentially
-/// otherwise; the bytes are identical either way. Bumps
-/// Ctx.Stats->PartitionBuilds / PartitionReuses.
+/// \p Helpers > 0, sequentially otherwise; the bytes are identical
+/// either way. Bumps Ctx.Stats->PartitionBuilds / PartitionReuses.
 PartitionCache::PartitionPtr
 routeOrReuse(std::span<const MemoryRecord> Records,
              const CacheGeometry &Geometry, std::span<const SetRange> Plan,

@@ -10,6 +10,7 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 using namespace ccprof;
@@ -50,44 +51,23 @@ namespace {
 /// routing work itself.
 constexpr size_t MinRecordsPerChunk = 1 << 15;
 
-/// Smallest merge-path segment worth its binary-search split: below
-/// this the split searches compete with the merging itself.
-constexpr size_t MinMergeSegment = 1 << 16;
-
-/// A-side split of the merge path of ascending (A, B) at combined
-/// offset \p T: the first T merged elements are exactly A[0, a) and
-/// B[0, T - a) for the returned a. Requires the values of A and B to
-/// be pairwise distinct — true here, since each global sequence
-/// number lives in exactly one shard's miss list — which makes the
-/// split unique and the segmented merge byte-identical to one
-/// std::merge over the whole pair.
-size_t mergePathSplit(const std::vector<uint64_t> &A,
-                      const std::vector<uint64_t> &B, size_t T) {
-  size_t Lo = T > B.size() ? T - B.size() : 0;
-  size_t Hi = std::min(T, A.size());
-  while (Lo < Hi) {
-    const size_t Mid = Lo + (Hi - Lo) / 2;
-    // A[Mid] sorts before B's last left-side candidate, so it belongs
-    // on the left of the cut: the split lies strictly above Mid.
-    if (A[Mid] < B[T - Mid - 1])
-      Lo = Mid + 1;
-    else
-      Hi = Mid;
-  }
-  return Lo;
-}
+/// Smallest bitmap chunk worth its own popcount-prefix slot: 4096
+/// words cover 256k references.
+constexpr size_t MinWordsPerChunk = 1 << 12;
 
 /// The routing passes are generic over what they route: full
-/// MemoryRecords (stage-1 partition of a raw trace, where the routed
-/// entry is minted from the record's global index) or already-minted
-/// ShardRefs (the L2 stage-2 re-partition of a merged miss stream,
-/// where the entry's SeqAndWrite payload must survive untouched).
+/// MemoryRecords (stage-1 partition of a raw trace) or ShardRefs (the
+/// L2 stage-2 re-partition of the translated L1 miss stream). Either
+/// way the routed entry is sequenced by its index in the routed span,
+/// which is what the shard's miss bitmap is indexed by.
 inline uint64_t routeAddrOf(const MemoryRecord &Record) { return Record.Addr; }
 inline uint64_t routeAddrOf(const ShardRef &Ref) { return Ref.Addr; }
 inline ShardRef routedRefOf(const MemoryRecord &Record, size_t I) {
   return ShardRef::make(I, Record.Addr, Record.IsWrite);
 }
-inline ShardRef routedRefOf(const ShardRef &Ref, size_t) { return Ref; }
+inline ShardRef routedRefOf(const ShardRef &Ref, size_t I) {
+  return ShardRef::make(I, Ref.Addr, Ref.isWrite());
+}
 
 /// Counts how many of Records[Begin..End) route to each shard into
 /// \p Counts (size K, zeroed by the caller).
@@ -174,6 +154,8 @@ ShardPartition partitionParallelImpl(std::span<const RecordT> Records,
   assert(Running == Records.size() && "partition must place every record");
 
   // Pass 2 (parallel): scatter into disjoint, precomputed arena slots.
+  // The resize only reserves address space (DefaultInitAllocator), so
+  // each page is first touched by the worker that scatters into it.
   Part.Arena.resize(Records.size());
   Pool.parallelFor(NumChunks, Helpers, [&](size_t C) {
     std::vector<size_t> Cursors(Starts.begin() + C * K,
@@ -202,82 +184,18 @@ ccprof::partitionBySetParallel(std::span<const MemoryRecord> Records,
 
 ShardPartition ccprof::partitionRefsBySet(std::span<const ShardRef> Refs,
                                           const CacheGeometry &Geometry,
-                                          std::span<const SetRange> Plan) {
-  return partitionImpl(Refs, Geometry, Plan);
-}
-
-ShardPartition
-ccprof::partitionRefsBySetParallel(std::span<const ShardRef> Refs,
-                                   const CacheGeometry &Geometry,
-                                   std::span<const SetRange> Plan,
-                                   ThreadPool &Pool, unsigned Helpers) {
+                                          std::span<const SetRange> Plan,
+                                          ThreadPool &Pool, unsigned Helpers) {
   return partitionParallelImpl(Refs, Geometry, Plan, Pool, Helpers);
 }
 
-ShardPartition
-ccprof::partitionBySetFused(std::span<const MemoryRecord> Records,
-                            const CacheGeometry &Geometry,
-                            std::span<const SetRange> Plan, ThreadPool &Pool,
-                            unsigned Helpers) {
-  const ShardMap Map(Plan);
-  const size_t K = Plan.size();
-  const std::vector<size_t> Chunks =
-      planChunks(Records.size(), Helpers + 1, MinRecordsPerChunk);
-  const size_t NumChunks = Chunks.size() - 1;
-
-  // Pass 1 (parallel): route each chunk exactly once, staging its refs
-  // in per-chunk per-shard rows. Within a row, global order is
-  // preserved; rows of different chunks never touch.
-  std::vector<std::vector<std::vector<ShardRef>>> Staged(NumChunks);
-  Pool.parallelFor(NumChunks, Helpers, [&](size_t C) {
-    std::vector<std::vector<ShardRef>> &Rows = Staged[C];
-    Rows.resize(K);
-    const size_t ChunkLen = Chunks[C + 1] - Chunks[C];
-    for (std::vector<ShardRef> &Row : Rows)
-      Row.reserve(ChunkLen / K + 16);
-    for (size_t I = Chunks[C]; I < Chunks[C + 1]; ++I) {
-      const MemoryRecord &Record = Records[I];
-      Rows[Map.shardOf(Geometry.setIndexOf(Record.Addr))].push_back(
-          ShardRef::make(I, Record.Addr, Record.IsWrite));
-    }
-  });
-
-  // Prefix sum over the staged row sizes fixes every row's arena slot,
-  // in the same (shard-major, chunk-ascending) order the count+scatter
-  // router uses — so the arena bytes come out identical.
-  ShardPartition Part;
-  Part.Offsets.assign(K + 1, 0);
-  std::vector<size_t> Starts(NumChunks * K, 0);
-  size_t Running = 0;
-  for (size_t S = 0; S < K; ++S) {
-    Part.Offsets[S] = Running;
-    for (size_t C = 0; C < NumChunks; ++C) {
-      Starts[C * K + S] = Running;
-      Running += Staged[C][S].size();
-    }
-  }
-  Part.Offsets[K] = Running;
-  assert(Running == Records.size() && "partition must place every record");
-
-  // Pass 2 (parallel): copy rows into their disjoint arena slices and
-  // free the staging as each chunk drains.
-  Part.Arena.resize(Records.size());
-  Pool.parallelFor(NumChunks, Helpers, [&](size_t C) {
-    for (size_t S = 0; S < K; ++S) {
-      std::vector<ShardRef> &Row = Staged[C][S];
-      std::copy(Row.begin(), Row.end(),
-                Part.Arena.begin() + Starts[C * K + S]);
-    }
-    Staged[C].clear();
-    Staged[C].shrink_to_fit();
-  });
-  return Part;
-}
-
-void ccprof::simulateShard(Cache &ShardCache, std::span<const ShardRef> Refs,
-                           std::vector<uint64_t> &MissSeqs) {
-  MissSeqs.clear();
-  MissSeqs.reserve(Refs.size() / 4 + 16);
+MissBitmap ccprof::simulateShardBitmap(Cache &ShardCache,
+                                       std::span<const ShardRef> Refs,
+                                       size_t NumRefs, bool MarkStores) {
+  MissBitmap Bits((NumRefs + 63) / 64, 0);
+  // Bit 0 of SeqAndWrite is the write bit: testing it against this
+  // mask drops store misses unless the caller marks stores.
+  const uint64_t WriteMask = MarkStores ? 0 : 1;
   // The tag rows of a shard's accesses are scattered across its window;
   // fetching a few iterations ahead hides the latency the SoA layout
   // cannot (accesses within a shard rarely revisit the same row
@@ -287,9 +205,13 @@ void ccprof::simulateShard(Cache &ShardCache, std::span<const ShardRef> Refs,
     if (I + PrefetchAhead < Refs.size())
       ShardCache.prefetchSet(Refs[I + PrefetchAhead].Addr);
     const ShardRef &R = Refs[I];
-    if (!ShardCache.access(R.Addr, R.isWrite()).Hit)
-      MissSeqs.push_back(R.seq());
+    if (ShardCache.access(R.Addr, R.isWrite()).Hit ||
+        (R.SeqAndWrite & WriteMask))
+      continue;
+    const uint64_t Seq = R.seq();
+    Bits[Seq / 64] |= uint64_t{1} << (Seq % 64);
   }
+  return Bits;
 }
 
 ShardAggregates
@@ -309,86 +231,33 @@ ccprof::simulateShardAggregates(Cache &ShardCache,
   return Agg;
 }
 
-std::vector<uint64_t>
-ccprof::mergeMissSeqs(std::span<std::vector<uint64_t>> PerShard,
-                      ThreadPool *Pool, unsigned Helpers) {
-  if (PerShard.empty())
-    return {};
-  if (PerShard.size() == 1)
-    return std::move(PerShard.front());
+MissUnion ccprof::unionMissBitmaps(std::vector<MissBitmap> &PerShard,
+                                   ThreadPool &Pool, unsigned Helpers) {
+  assert(!PerShard.empty() && "union of no bitmaps");
+  MissUnion Union;
+  Union.Bits = std::move(PerShard.front());
+  const size_t NumWords = Union.Bits.size();
+  Union.Chunks = planChunks(NumWords, Helpers + 1, MinWordsPerChunk);
+  const size_t NumChunks = Union.Chunks.size() - 1;
+  Union.Offsets.assign(NumChunks + 1, 0);
 
-  // Pairwise tournament: each round merges adjacent pairs (both
-  // ascending, so std::merge into a pre-sized output), halving the
-  // list count. Every pair is additionally cut along its merge path
-  // into segments that merge independently, so even the final round —
-  // one pair spanning the whole stream, a fully serial O(Total) tail
-  // otherwise — spreads across all granted workers. Pairing and
-  // per-segment output slots are fixed by sizes alone, so the result
-  // is identical at every helper count.
-  std::vector<std::vector<uint64_t>> Cur(
-      std::make_move_iterator(PerShard.begin()),
-      std::make_move_iterator(PerShard.end()));
-  while (Cur.size() > 1) {
-    const size_t Pairs = Cur.size() / 2;
-    std::vector<std::vector<uint64_t>> Next(Pairs + Cur.size() % 2);
-    for (size_t P = 0; P < Pairs; ++P)
-      Next[P].resize(Cur[2 * P].size() + Cur[2 * P + 1].size());
-    if (Pool && Helpers > 0) {
-      // One flat job list across all pairs of the round: a job is one
-      // merge-path segment of one pair, writing a disjoint slice of
-      // that pair's output.
-      struct MergeSegment {
-        size_t Pair;
-        size_t ABegin, AEnd;
-        size_t BBegin, BEnd;
-        size_t OutBegin;
-      };
-      std::vector<MergeSegment> Jobs;
-      for (size_t P = 0; P < Pairs; ++P) {
-        const std::vector<uint64_t> &A = Cur[2 * P];
-        const std::vector<uint64_t> &B = Cur[2 * P + 1];
-        const std::vector<size_t> Cuts =
-            planChunks(A.size() + B.size(), Helpers + 1, MinMergeSegment);
-        size_t PrevA = 0;
-        for (size_t C = 1; C < Cuts.size(); ++C) {
-          const size_t SplitA =
-              C + 1 == Cuts.size() ? A.size() : mergePathSplit(A, B, Cuts[C]);
-          Jobs.push_back(MergeSegment{P, PrevA, SplitA, Cuts[C - 1] - PrevA,
-                                      Cuts[C] - SplitA, Cuts[C - 1]});
-          PrevA = SplitA;
-        }
-      }
-      Pool->parallelFor(Jobs.size(), Helpers, [&](size_t J) {
-        const MergeSegment &Seg = Jobs[J];
-        const std::vector<uint64_t> &A = Cur[2 * Seg.Pair];
-        const std::vector<uint64_t> &B = Cur[2 * Seg.Pair + 1];
-        std::merge(A.begin() + Seg.ABegin, A.begin() + Seg.AEnd,
-                   B.begin() + Seg.BBegin, B.begin() + Seg.BEnd,
-                   Next[Seg.Pair].begin() + Seg.OutBegin);
-      });
-      for (size_t P = 0; P < Pairs; ++P) {
-        Cur[2 * P].clear();
-        Cur[2 * P].shrink_to_fit();
-        Cur[2 * P + 1].clear();
-        Cur[2 * P + 1].shrink_to_fit();
-      }
-    } else {
-      for (size_t P = 0; P < Pairs; ++P) {
-        std::vector<uint64_t> &A = Cur[2 * P];
-        std::vector<uint64_t> &B = Cur[2 * P + 1];
-        std::merge(A.begin(), A.end(), B.begin(), B.end(),
-                   Next[P].begin());
-        A.clear();
-        A.shrink_to_fit();
-        B.clear();
-        B.shrink_to_fit();
-      }
+  // OR and popcount in one pass: each chunk owns its words of the
+  // union and its count slot, so no write is shared.
+  Pool.parallelFor(NumChunks, Helpers, [&](size_t C) {
+    size_t Count = 0;
+    for (size_t W = Union.Chunks[C]; W < Union.Chunks[C + 1]; ++W) {
+      uint64_t Word = Union.Bits[W];
+      for (size_t S = 1; S < PerShard.size(); ++S)
+        Word |= PerShard[S][W];
+      Union.Bits[W] = Word;
+      Count += static_cast<size_t>(std::popcount(Word));
     }
-    if (Cur.size() % 2)
-      Next.back() = std::move(Cur.back());
-    Cur = std::move(Next);
-  }
-  return std::move(Cur.front());
+    Union.Offsets[C + 1] = Count;
+  });
+  for (size_t C = 0; C < NumChunks; ++C)
+    Union.Offsets[C + 1] += Union.Offsets[C];
+  PerShard.clear();
+  return Union;
 }
 
 size_t ShardCachePool::BucketKeyHash::operator()(const BucketKey &Key) const {

@@ -11,27 +11,31 @@
 /// timestamps, tree-PLRU bits) depends only on the relative order of
 /// the accesses that map to that set, never on accesses to other sets.
 /// The reference stream can therefore be partitioned once by set index
-/// into K shards of contiguous set ranges, each shard simulated
-/// independently against a windowed Cache, and the per-shard miss lists
-/// — sorted by the access's global sequence number by construction —
-/// merged back into the exact miss stream a sequential simulation
-/// produces. The decomposition is bit-exact for every deterministic
-/// replacement policy; ReplacementKind::Random consumes a cache-global
-/// RNG whose draw order depends on the interleaving of sets, so Random
+/// into K shards of contiguous set ranges and each shard simulated
+/// independently against a windowed Cache. Every shard marks its
+/// misses in its own miss bitmap indexed by global sequence number, so
+/// global order survives without any merge: the OR of the K bitmaps is
+/// exactly the miss set a sequential simulation produces, and walking
+/// its set bits in ascending order replays the sequential miss stream.
+/// The decomposition is bit-exact for every deterministic replacement
+/// policy; ReplacementKind::Random consumes a cache-global RNG whose
+/// draw order depends on the interleaving of sets, so Random
 /// simulations must stay sequential (callers gate on this).
 ///
-/// Every stage is built to keep the serial fraction near zero (Amdahl
-/// is what sank the first sharded design — see DESIGN.md §7):
-/// partitioning is a block-parallel count + prefix-sum + scatter into
-/// one pre-sized flat arena (partitionBySetParallel), the k-way merge
-/// is a pairwise tournament whose rounds parallelize (mergeMissSeqs),
-/// and callers that only need aggregate statistics skip the merge
-/// entirely (simulateShardAggregates + the aggregate collectors in
-/// pmu/PebsEvent.h). ShardCachePool recycles windowed Cache instances
-/// across configurations in O(1) so repeated sharded runs do not
-/// reallocate state planes. The trace-facing collectors that put the
-/// pieces together live in pmu/PebsEvent.h; the thread-budget policy
-/// lives with the batch runner (pipeline/JobRunner.h).
+/// Every stage is built to keep the serial fraction near zero (see
+/// DESIGN.md §7): partitioning is a block-parallel count + prefix-sum
+/// + scatter into one flat arena whose first write happens in the
+/// parallel scatter (partitionBySetParallel), shards allocate and zero
+/// their own bitmaps, and the union is a chunk-parallel OR + popcount
+/// whose per-chunk prefix lets callers emit events into disjoint
+/// output slices (unionMissBitmaps). Callers that only need aggregate
+/// statistics skip the bitmaps entirely (simulateShardAggregates + the
+/// aggregate collectors in pmu/PebsEvent.h). ShardCachePool recycles
+/// windowed Cache instances across configurations in O(1) so repeated
+/// sharded runs do not reallocate state planes. The trace-facing
+/// collectors that put the pieces together live in pmu/PebsEvent.h;
+/// the thread-budget policy lives with the batch runner
+/// (pipeline/JobRunner.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,6 +51,7 @@
 #include <mutex>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace ccprof {
@@ -57,11 +62,14 @@ class ShardCachePool;
 class PartitionCache;
 
 /// One reference routed to a shard: the address plus its global
-/// position in the trace (and the write bit, packed into the low bit
-/// so a shard entry stays 16 bytes).
+/// position in the routed stream (and the write bit, packed into the
+/// low bit so a shard entry stays 16 bytes). Trivially
+/// default-constructible on purpose: a partition arena is allocated
+/// uninitialized and first written by the parallel scatter, so no
+/// thread pays a serial zero-fill of 16 bytes per reference.
 struct ShardRef {
-  uint64_t Addr = 0;
-  uint64_t SeqAndWrite = 0;
+  uint64_t Addr;
+  uint64_t SeqAndWrite;
 
   static ShardRef make(uint64_t Seq, uint64_t Addr, bool IsWrite) {
     return ShardRef{Addr, (Seq << 1) | static_cast<uint64_t>(IsWrite)};
@@ -91,14 +99,31 @@ private:
   size_t NumShards;
 };
 
+/// Allocator whose value-less construct() default-initializes, so
+/// resize() on a vector of trivial elements allocates without writing.
+template <typename T> struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U> struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  using std::allocator<T>::allocator;
+
+  template <typename U> void construct(U *Ptr) {
+    ::new (static_cast<void *>(Ptr)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U *Ptr, Args &&...Values) {
+    ::new (static_cast<void *>(Ptr)) U(std::forward<Args>(Values)...);
+  }
+};
+
 /// A reference stream routed to its shards: one pre-sized flat arena
 /// holding every shard's subsequence contiguously, in ascending global
-/// sequence order within each shard. Replaces the per-shard
-/// std::vector<ShardRef> regions of the first sharded design — no
-/// per-shard regrowth, no K separate allocations, and the scatter that
-/// fills it can run block-parallel because every slot is precomputed.
+/// sequence order within each shard. The scatter that fills it runs
+/// block-parallel because every slot is precomputed, and the arena is
+/// left uninitialized until then (DefaultInitAllocator), so its pages
+/// are first touched by the workers that write them.
 struct ShardPartition {
-  std::vector<ShardRef> Arena;
+  std::vector<ShardRef, DefaultInitAllocator<ShardRef>> Arena;
   /// Shard S occupies Arena[Offsets[S] .. Offsets[S+1]).
   std::vector<size_t> Offsets;
 
@@ -131,67 +156,68 @@ ShardPartition partitionBySetParallel(std::span<const MemoryRecord> Records,
                                       std::span<const SetRange> Plan,
                                       ThreadPool &Pool, unsigned Helpers);
 
-/// Fused single-pass variant of partitionBySetParallel: instead of the
-/// count + scatter double traversal, each chunk routes its records
-/// once into per-chunk per-shard staging rows, then a prefix sum over
-/// the staged sizes fixes arena slots and a second parallel pass
-/// copies rows out. Trades a full re-traversal of the trace for the
-/// staging rows' allocation and copy traffic — which side wins is a
-/// machine question, so the steady-state bench tier decides (see
-/// bench/sim_throughput --fused-router). Byte-identical output to the
-/// other routers at every chunk grid and helper count.
-ShardPartition partitionBySetFused(std::span<const MemoryRecord> Records,
-                                   const CacheGeometry &Geometry,
-                                   std::span<const SetRange> Plan,
-                                   ThreadPool &Pool, unsigned Helpers);
-
-/// partitionBySet over an already-routed ref stream (e.g. the merged
-/// L1 miss stream re-partitioned by L2 set for the stage-2 replay).
-/// Refs keep their original SeqAndWrite payload; \p Geometry supplies
-/// the *target* level's index mapping.
+/// Block-parallel partitionBySet over an already-routed ref stream
+/// (e.g. the L1 miss stream re-partitioned by L2 set for the stage-2
+/// replay); \p Helpers = 0 runs every chunk in the caller. Each routed
+/// ref is re-sequenced by its position in \p Refs and keeps its address
+/// and write bit; \p Geometry supplies the *target* level's index
+/// mapping. Identical bytes at every chunk grid and helper count.
 ShardPartition partitionRefsBySet(std::span<const ShardRef> Refs,
                                   const CacheGeometry &Geometry,
-                                  std::span<const SetRange> Plan);
+                                  std::span<const SetRange> Plan,
+                                  ThreadPool &Pool, unsigned Helpers);
 
-/// Block-parallel partitionRefsBySet; identical bytes at every chunk
-/// grid and helper count.
-ShardPartition partitionRefsBySetParallel(std::span<const ShardRef> Refs,
-                                          const CacheGeometry &Geometry,
-                                          std::span<const SetRange> Plan,
-                                          ThreadPool &Pool, unsigned Helpers);
+/// One bit per reference of a routed stream: bit Seq % 64 of word
+/// Seq / 64 is set iff the reference with sequence number Seq missed.
+using MissBitmap = std::vector<uint64_t>;
 
 /// Replays \p Refs (all of which must map into \p ShardCache's window,
-/// in ascending seq order) and appends the global sequence number of
-/// every access that missed to \p MissSeqs. \p ShardCache must be
-/// freshly constructed or resetForReuse()'d.
-void simulateShard(Cache &ShardCache, std::span<const ShardRef> Refs,
-                   std::vector<uint64_t> &MissSeqs);
+/// in ascending seq order) and \returns a zeroed bitmap of \p NumRefs
+/// bits with bit seq set for every missing load — and every missing
+/// store when \p MarkStores is set. The bitmap is allocated here, so a
+/// shard task that calls this zeroes its own bitmap in parallel with
+/// the others. \p ShardCache must be freshly constructed or
+/// resetForReuse()'d.
+MissBitmap simulateShardBitmap(Cache &ShardCache,
+                               std::span<const ShardRef> Refs,
+                               size_t NumRefs, bool MarkStores);
 
 /// Counters of one shard replay when only totals are needed (the
-/// merge-elision fast path: no miss list is materialized at all).
+/// merge-elision fast path: no miss bitmap is materialized at all).
 struct ShardAggregates {
   uint64_t Misses = 0;      ///< All missing accesses, loads and stores.
   uint64_t LoadMisses = 0;
   uint64_t StoreMisses = 0;
 };
 
-/// Replays \p Refs like simulateShard but records nothing per miss —
+/// Replays \p Refs like simulateShardBitmap but records nothing per
+/// miss —
 /// only the aggregate counters. Per-set misses stay available from
 /// \p ShardCache.perSetMisses() afterwards.
 ShardAggregates simulateShardAggregates(Cache &ShardCache,
                                         std::span<const ShardRef> Refs);
 
-/// Merges the ascending per-shard miss lists into one ascending list —
-/// the global miss order a sequential simulation would emit.
-/// Destructive: the inputs are consumed (the single-shard fast path
-/// moves the list out; multi-shard inputs are drained by a pairwise
-/// tournament of std::merge rounds, O(Total * ceil(log2 K)) instead of
-/// the old linear min-scan's O(Total * K)). When \p Pool is non-null,
-/// each round's pair merges run across up to \p Helpers pool workers;
-/// the result is identical at every helper count.
-std::vector<uint64_t> mergeMissSeqs(std::span<std::vector<uint64_t>> PerShard,
-                                    ThreadPool *Pool = nullptr,
-                                    unsigned Helpers = 0);
+/// The union of K per-shard miss bitmaps plus the popcount prefix
+/// over a chunk grid of its words: chunk C covers words
+/// Chunks[C] .. Chunks[C+1] and its set bits are misses
+/// Offsets[C] .. Offsets[C+1] of the ascending global miss order, so
+/// chunks can emit their events into disjoint slices in parallel.
+struct MissUnion {
+  MissBitmap Bits;
+  std::vector<size_t> Chunks;
+  std::vector<size_t> Offsets;
+
+  size_t count() const { return Offsets.back(); }
+};
+
+/// ORs \p PerShard into one bitmap and counts its set bits per chunk,
+/// chunk-parallel across up to \p Helpers workers of \p Pool (0 runs
+/// every chunk in the caller). Destructive: the union is built in
+/// place of the first bitmap and the others are freed. The grid
+/// depends only on the bitmap length and \p Helpers, and the bits and
+/// offsets are identical at every helper count.
+MissUnion unionMissBitmaps(std::vector<MissBitmap> &PerShard,
+                           ThreadPool &Pool, unsigned Helpers);
 
 /// Thread-safe pool of windowed Cache instances. A shard simulation
 /// acquires a cache per shard and parks it afterwards; a later
@@ -257,7 +283,7 @@ struct ShardExecStats {
   /// --shards with an exhausted budget or an empty pool): every shard
   /// replayed serially on one thread.
   std::atomic<uint64_t> UnhelpedShardedSims{0};
-  /// Aggregate-only collections that skipped the ordered merge.
+  /// Aggregate-only collections that never built the ordered stream.
   std::atomic<uint64_t> ElidedMerges{0};
   /// Partitions routed from scratch (cache miss or no cache wired).
   std::atomic<uint64_t> PartitionBuilds{0};
@@ -265,14 +291,6 @@ struct ShardExecStats {
   std::atomic<uint64_t> PartitionReuses{0};
   /// L2 collections whose stage-2 replay itself ran sharded.
   std::atomic<uint64_t> L2StageShardedSims{0};
-};
-
-/// Which routing strategy the parallel partitioner uses; see
-/// partitionBySetFused for the trade. CountScatter is the measured
-/// default.
-enum class PartitionRouter {
-  CountScatter,
-  Fused,
 };
 
 /// Everything a miss-stream collector needs to go parallel. A
@@ -292,7 +310,7 @@ struct SimContext {
   /// Shard count; 0 = one shard per granted thread.
   unsigned Shards = 0;
   /// Traces shorter than this are simulated sequentially — partition
-  /// and merge overhead beats the parallel win on tiny streams.
+  /// and union overhead beats the parallel win on tiny streams.
   uint64_t MinRefsToShard = DefaultMinRefsToShard;
   /// Route-once arena cache shared across a sweep; null disables
   /// reuse (every simulation routes its own partition).
@@ -301,8 +319,6 @@ struct SimContext {
   /// PartitionCache::registerTrace(). 0 (the default) means "unknown
   /// trace" and bypasses the cache even when Partitions is set.
   uint64_t TraceId = 0;
-  /// Routing strategy for parallel partition passes.
-  PartitionRouter Router = PartitionRouter::CountScatter;
 
   static constexpr uint64_t DefaultMinRefsToShard = 1 << 16;
 };

@@ -6,13 +6,13 @@
 //===----------------------------------------------------------------------===//
 //
 // The set-sharded parallel simulation engine claims bit-exactness: at
-// every shard count and thread count, the merged global miss stream —
+// every shard count and thread count, the global miss stream —
 // and therefore every artifact downstream of it — is identical to what
 // a sequential simulation produces. This suite enforces the claim at
 // three layers:
 //
-//  * the sharding primitives (planShards / simulateShard /
-//    mergeMissSeqs) against the scalar ReferenceCache oracle,
+//  * the sharding primitives (planShards / simulateShardBitmap /
+//    unionMissBitmaps) against the scalar ReferenceCache oracle,
 //    including per-set miss counts gathered from windowed shard caches;
 //
 //  * the trace-facing parallel collectors against their sequential
@@ -33,6 +33,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -78,6 +79,16 @@ std::vector<uint64_t> referenceMissSeqs(const Trace &T,
   for (size_t I = 0; I < Records.size(); ++I)
     if (!Oracle.access(Records[I].Addr, Records[I].IsWrite).Hit)
       Seqs.push_back(I);
+  return Seqs;
+}
+
+/// Sequence numbers of the set bits of \p Bits, ascending.
+std::vector<uint64_t> setBits(const MissBitmap &Bits) {
+  std::vector<uint64_t> Seqs;
+  for (size_t W = 0; W < Bits.size(); ++W)
+    for (size_t B = 0; B < 64; ++B)
+      if (Bits[W] >> B & 1)
+        Seqs.push_back(W * 64 + B);
   return Seqs;
 }
 
@@ -127,9 +138,10 @@ TEST(ShardPlanTest, CoversEverySetExactlyOnce) {
   }
 }
 
-TEST(CacheShardExactnessTest, MergedMissSeqsMatchReferenceOracle) {
+TEST(CacheShardExactnessTest, ShardMissBitmapsMatchReferenceOracle) {
   const CacheGeometry Geometry = testGeometry();
   const Trace T = makeTrace(60'000);
+  ThreadPool Pool(0);
 
   for (ReplacementKind Policy :
        {ReplacementKind::Lru, ReplacementKind::Fifo,
@@ -143,16 +155,19 @@ TEST(CacheShardExactnessTest, MergedMissSeqsMatchReferenceOracle) {
       const std::vector<std::vector<ShardRef>> Parts =
           partition(T, Geometry, Plan);
 
-      std::vector<std::vector<uint64_t>> PerShard(Plan.size());
+      std::vector<MissBitmap> PerShard(Plan.size());
       std::vector<Cache> ShardCaches;
       ShardCaches.reserve(Plan.size());
       for (size_t S = 0; S < Plan.size(); ++S) {
         ShardCaches.emplace_back(Geometry, Plan[S], Policy);
-        simulateShard(ShardCaches[S], Parts[S], PerShard[S]);
+        PerShard[S] = simulateShardBitmap(ShardCaches[S], Parts[S], T.size(),
+                                          /*MarkStores=*/true);
       }
-      EXPECT_EQ(mergeMissSeqs(PerShard), Expected)
+      const MissUnion Union = unionMissBitmaps(PerShard, Pool, 0);
+      EXPECT_EQ(setBits(Union.Bits), Expected)
           << "policy " << static_cast<int>(Policy) << ", " << K
           << " shard(s)";
+      EXPECT_EQ(Union.count(), Expected.size());
 
       // Per-set miss counts, reassembled from the windowed shard
       // caches, must match the reference model set for set.
@@ -175,18 +190,18 @@ TEST(CacheShardExactnessTest, WindowedCacheReuseIsExact) {
       partition(T, Geometry, Plan);
 
   // Fresh caches, one per shard.
-  std::vector<std::vector<uint64_t>> Fresh(Plan.size());
+  std::vector<MissBitmap> Fresh(Plan.size());
   for (size_t S = 0; S < Plan.size(); ++S) {
     Cache C(Geometry, Plan[S], ReplacementKind::Lru);
-    simulateShard(C, Parts[S], Fresh[S]);
+    Fresh[S] = simulateShardBitmap(C, Parts[S], T.size(), true);
   }
 
   // One pooled cache rewound across all shards (equal window widths).
-  std::vector<std::vector<uint64_t>> Reused(Plan.size());
+  std::vector<MissBitmap> Reused(Plan.size());
   Cache Pooled(Geometry, Plan[0], ReplacementKind::Lru);
   for (size_t S = 0; S < Plan.size(); ++S) {
     Pooled.resetForReuse(Plan[S]);
-    simulateShard(Pooled, Parts[S], Reused[S]);
+    Reused[S] = simulateShardBitmap(Pooled, Parts[S], T.size(), true);
     EXPECT_EQ(Pooled.window(), Plan[S]);
   }
   EXPECT_EQ(Fresh, Reused);
@@ -202,9 +217,7 @@ TEST(CacheShardExactnessTest, WindowedCacheReuseIsExact) {
   EXPECT_EQ(Pool.reuses(), 1u);
   EXPECT_EQ(Pool.parked(), 0u);
   EXPECT_EQ(B->window(), Plan[1]);
-  std::vector<uint64_t> FromPool;
-  simulateShard(*B, Parts[1], FromPool);
-  EXPECT_EQ(FromPool, Fresh[1]);
+  EXPECT_EQ(simulateShardBitmap(*B, Parts[1], T.size(), true), Fresh[1]);
 
   // A mismatched geometry never reuses a parked instance.
   Pool.park(std::move(B));
@@ -326,49 +339,6 @@ TEST(CacheShardExactnessTest, L2StageTwoShardsWithExactAccounting) {
   }
 }
 
-TEST(CacheShardExactnessTest, FusedRouterProducesIdenticalPartitions) {
-  // The fused single-pass router must produce byte-for-byte the same
-  // arena and offsets as the count+scatter pass and the sequential
-  // reference, at every plan width and helper count.
-  const CacheGeometry Geometry = testGeometry();
-  const Trace T = makeTrace(50'000);
-  ThreadPool Pool(3);
-  for (unsigned ShardCount : {1u, 2u, 3u, 7u, 64u}) {
-    const std::vector<SetRange> Plan =
-        planShards(Geometry.numSets(), ShardCount);
-    const ShardPartition Sequential =
-        partitionBySet(T.records(), Geometry, Plan);
-    for (unsigned Helpers : {0u, 1u, 3u}) {
-      const ShardPartition Cs = partitionBySetParallel(
-          T.records(), Geometry, Plan, Pool, Helpers);
-      const ShardPartition Fused =
-          partitionBySetFused(T.records(), Geometry, Plan, Pool, Helpers);
-      EXPECT_EQ(Cs.Arena, Sequential.Arena)
-          << ShardCount << " shard(s), " << Helpers << " helper(s)";
-      EXPECT_EQ(Cs.Offsets, Sequential.Offsets);
-      EXPECT_EQ(Fused.Arena, Sequential.Arena)
-          << ShardCount << " shard(s), " << Helpers << " helper(s)";
-      EXPECT_EQ(Fused.Offsets, Sequential.Offsets);
-    }
-  }
-
-  // End to end: a collector run routed through the fused router is
-  // still exact.
-  MissStreamOptions Options;
-  Options.IncludeStores = true;
-  const std::vector<MissEvent> Sequential =
-      collectL1MissStream(T, Geometry, Options);
-  ThreadBudget Budget(4);
-  SimContext Ctx;
-  Ctx.Pool = &Pool;
-  Ctx.Budget = &Budget;
-  Ctx.Shards = 4;
-  Ctx.MinRefsToShard = 0;
-  Ctx.Router = PartitionRouter::Fused;
-  EXPECT_EQ(collectL1MissStreamParallel(T, Geometry, Options, Ctx),
-            Sequential);
-}
-
 TEST(CacheShardExactnessTest, RandomPolicyFallsBackToSequential) {
   const CacheGeometry Geometry = testGeometry();
   const Trace T = makeTrace(30'000);
@@ -486,41 +456,44 @@ TEST(CacheShardExactnessTest, ParallelPartitionMatchesSequential) {
   }
 }
 
-TEST(CacheShardExactnessTest, MergeSegmentationMatchesPlainMerge) {
-  // Lists long enough to cross the merge-path segmentation threshold
-  // (64k entries per segment), with deliberately lopsided sizes and
-  // an odd list count so one list carries over between rounds. Values
-  // are globally unique, as shard miss sequence numbers always are.
-  std::vector<std::vector<uint64_t>> Lists(5);
-  uint64_t V = 0;
-  for (size_t Round = 0; Round < 200'000; ++Round)
-    for (size_t L = 0; L < Lists.size(); ++L)
-      if (Round < 100'000 + 40'000 * L)
-        Lists[L].push_back(V++);
-
+TEST(CacheShardExactnessTest, BitmapUnionIsIdenticalAtEveryHelperCount) {
+  // Bitmaps long enough for several 4096-word union chunks, with a bit
+  // count that is not a multiple of 64, disjoint bits as shard miss
+  // bitmaps always have, and the last reference missing.
+  constexpr size_t NumRefs = 2'000'003;
+  const size_t NumWords = (NumRefs + 63) / 64;
+  std::vector<MissBitmap> Shards(5, MissBitmap(NumWords, 0));
+  Xoshiro256 Rng(0xb17'5e7);
   std::vector<uint64_t> Expected;
-  for (const std::vector<uint64_t> &L : Lists)
-    Expected.insert(Expected.end(), L.begin(), L.end());
-  std::sort(Expected.begin(), Expected.end());
+  for (uint64_t Seq = 0; Seq < NumRefs; ++Seq) {
+    if (Seq + 1 != NumRefs && Rng.nextBounded(3) != 0)
+      continue;
+    Shards[Rng.nextBounded(Shards.size())][Seq / 64] |= uint64_t{1}
+                                                        << (Seq % 64);
+    Expected.push_back(Seq);
+  }
 
   ThreadPool Pool(3);
-  std::vector<std::vector<uint64_t>> Parallel = Lists;
-  EXPECT_EQ(mergeMissSeqs(Parallel, &Pool, 3), Expected);
-  // The merge drains its inputs (move semantics, satellite of the
-  // single-shard copy fix) — spent lists must not linger.
-  for (const std::vector<uint64_t> &L : Parallel)
-    EXPECT_TRUE(L.empty());
+  std::vector<MissBitmap> Sequential = Shards;
+  const MissUnion Reference = unionMissBitmaps(Sequential, Pool, 0);
+  EXPECT_TRUE(Sequential.empty()) << "the union consumes its inputs";
+  EXPECT_EQ(setBits(Reference.Bits), Expected);
+  EXPECT_EQ(Reference.count(), Expected.size());
 
-  std::vector<std::vector<uint64_t>> Sequential = Lists;
-  EXPECT_EQ(mergeMissSeqs(Sequential), Expected);
-
-  // Single-shard path: moved out wholesale, never copied.
-  std::vector<std::vector<uint64_t>> One(1);
-  One[0] = Lists[0];
-  const uint64_t *Data = One[0].data();
-  const std::vector<uint64_t> Merged = mergeMissSeqs(One);
-  EXPECT_EQ(Merged.data(), Data) << "single-shard merge must move";
-  EXPECT_EQ(Merged, Lists[0]);
+  for (unsigned Helpers : {1u, 3u}) {
+    std::vector<MissBitmap> Inputs = Shards;
+    const MissUnion Union = unionMissBitmaps(Inputs, Pool, Helpers);
+    EXPECT_EQ(Union.Bits, Reference.Bits) << Helpers << " helper(s)";
+    ASSERT_GT(Union.Chunks.size(), 2u) << "grid must span several chunks";
+    // Offsets[C] counts the set bits before chunk C.
+    for (size_t C = 0; C + 1 < Union.Chunks.size(); ++C) {
+      size_t Before = 0;
+      for (size_t W = 0; W < Union.Chunks[C]; ++W)
+        Before += static_cast<size_t>(std::popcount(Union.Bits[W]));
+      EXPECT_EQ(Union.Offsets[C], Before) << "chunk " << C;
+    }
+    EXPECT_EQ(Union.count(), Expected.size());
+  }
 }
 
 TEST(CacheShardExactnessTest, AggregateCollectorMatchesStreamAggregates) {
@@ -677,8 +650,8 @@ TEST(CacheShardExactnessTest, ShardCachePoolBucketsByConfig) {
 TEST(CacheShardExactnessTest, LargeTraceStreamIdenticalAcrossExecShapes) {
   const CacheGeometry Geometry = testGeometry();
   // Well past MinRecordsPerChunk and MinRefsToShard: the partition
-  // runs chunked, the merge runs pairwise, and the rebuild runs
-  // scattered — every parallel stage is on its real code path.
+  // runs chunked and the bitmap union and compaction span several
+  // chunks — every parallel stage is on its real code path.
   const Trace T = makeTrace(600'000);
   MissStreamOptions Options;
   Options.IncludeStores = true;

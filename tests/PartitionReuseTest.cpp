@@ -15,7 +15,7 @@
 //    evicts the most-recently-inserted entry, and trace release;
 //
 //  * routeOrReuse: byte-identical partitions at every helper count,
-//    cache on vs off, and both routers;
+//    cache on vs off;
 //
 //  * the collectors and the batch runner: identical miss streams and
 //    byte-identical artifacts with reuse on vs off, with exact
@@ -199,27 +199,22 @@ TEST(PartitionReuseTest, RouteOrReuseIsByteIdenticalAtEveryShape) {
 
   ThreadPool Pool(7);
   PartitionCache Cache;
-  for (PartitionRouter Router :
-       {PartitionRouter::CountScatter, PartitionRouter::Fused}) {
-    for (unsigned Helpers : {0u, 1u, 3u, 7u}) {
-      for (bool UseCache : {false, true}) {
-        SimContext Ctx;
-        Ctx.Pool = &Pool;
-        Ctx.Router = Router;
-        Ctx.Partitions = UseCache ? &Cache : nullptr;
-        // A fresh trace id per shape forces a rebuild even with the
-        // cache on, so every (router, helpers) pair routes for real.
-        Ctx.TraceId = UseCache ? Cache.registerTrace() : 0;
-        const PartitionCache::PartitionPtr Part =
-            routeOrReuse(T.records(), Geometry, Plan, Ctx, Helpers);
-        ASSERT_NE(Part, nullptr);
-        EXPECT_EQ(Part->Arena, Sequential.Arena)
-            << "router " << static_cast<int>(Router) << ", helpers "
-            << Helpers << ", cache " << UseCache;
-        EXPECT_EQ(Part->Offsets, Sequential.Offsets);
-        if (UseCache)
-          Cache.releaseTrace(Ctx.TraceId);
-      }
+  for (unsigned Helpers : {0u, 1u, 3u, 7u}) {
+    for (bool UseCache : {false, true}) {
+      SimContext Ctx;
+      Ctx.Pool = &Pool;
+      Ctx.Partitions = UseCache ? &Cache : nullptr;
+      // A fresh trace id per shape forces a rebuild even with the
+      // cache on, so every helper count routes for real.
+      Ctx.TraceId = UseCache ? Cache.registerTrace() : 0;
+      const PartitionCache::PartitionPtr Part =
+          routeOrReuse(T.records(), Geometry, Plan, Ctx, Helpers);
+      ASSERT_NE(Part, nullptr);
+      EXPECT_EQ(Part->Arena, Sequential.Arena)
+          << "helpers " << Helpers << ", cache " << UseCache;
+      EXPECT_EQ(Part->Offsets, Sequential.Offsets);
+      if (UseCache)
+        Cache.releaseTrace(Ctx.TraceId);
     }
   }
 }

@@ -26,6 +26,7 @@
 #include "gtest/gtest.h"
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
@@ -34,6 +35,9 @@
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 using namespace ccprof;
@@ -646,4 +650,53 @@ TEST(CcprofdTest, SocketRoundTripSubmitStatsAndPing) {
   Daemon.stop();
   EXPECT_FALSE(fs::exists(Socket)) << "socket file must be removed on stop";
   EXPECT_EQ(Daemon.store().stats().Objects, 1u);
+}
+
+TEST(CcprofdTest, OverlongHeaderLineIsRefusedAndClosed) {
+  TempDir Root("daemon-longline");
+  const std::string Socket =
+      "/tmp/ccprof-test-longline-" + std::to_string(::getpid()) + ".sock";
+
+  ServiceConfig Config;
+  Config.StoreDir = (Root.Path / "store").string();
+  Config.SocketPath = Socket;
+  Ccprofd Daemon(Config);
+  std::string Error;
+  ASSERT_TRUE(Daemon.start(&Error)) << Error;
+
+  const int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(Fd, 0);
+  sockaddr_un Addr{};
+  Addr.sun_family = AF_UNIX;
+  std::strncpy(Addr.sun_path, Socket.c_str(), sizeof(Addr.sun_path) - 1);
+  ASSERT_EQ(::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof Addr), 0);
+  timeval Timeout{};
+  Timeout.tv_sec = 10;
+  ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Timeout, sizeof Timeout);
+
+  // 1 MiB without a newline. The daemon closes the connection long
+  // before the last byte, so the send fails partway (EPIPE, never
+  // SIGPIPE); that failure is expected and ignored.
+  const std::string Flood(1u << 20, 'A');
+  size_t Sent = 0;
+  while (Sent < Flood.size()) {
+    const ssize_t N = ::send(Fd, Flood.data() + Sent, Flood.size() - Sent,
+                             MSG_NOSIGNAL);
+    if (N <= 0)
+      break;
+    Sent += static_cast<size_t>(N);
+  }
+
+  std::string Reply;
+  char C = 0;
+  while (::recv(Fd, &C, 1, 0) == 1 && C != '\n')
+    Reply.push_back(C);
+  EXPECT_EQ(Reply, "ERR header too long");
+  // The connection is closed after the refusal.
+  EXPECT_LE(::recv(Fd, &C, 1, 0), 0);
+  ::close(Fd);
+
+  // The daemon itself is unharmed.
+  EXPECT_TRUE(servicePing(Socket).Ok);
+  Daemon.stop();
 }
