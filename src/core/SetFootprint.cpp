@@ -31,7 +31,7 @@ SetOccupancyTracker::SetOccupancyTracker(const CacheGeometry &Geometry,
       InWindow(Geometry.numSets()), Occupancy(Geometry.numSets(), 0),
       Peak(Geometry.numSets(), 0), PerSet(Geometry.numSets(), 0),
       Lines(Geometry.numSets(), 0), Worst(Window),
-      MruStack(Geometry.numSets()) {
+      MruStack(Geometry.numSets(), Geometry.associativity()) {
   Ring.reserve(Window);
 }
 
@@ -75,14 +75,7 @@ uint64_t SetOccupancyTracker::access(uint64_t Addr) {
   // the access-count window over-evicts sparse-line streams (many
   // accesses, few lines) that a real cache keeps resident; it serves
   // as the thrash-vs-capacity classifier instead.
-  std::vector<uint64_t> &Stack = MruStack[Set];
-  auto StackIt = std::find(Stack.begin(), Stack.end(), Line);
-  LastWasResident = StackIt != Stack.end();
-  if (LastWasResident)
-    Stack.erase(StackIt);
-  else if (Stack.size() >= Ways)
-    Stack.pop_back();
-  Stack.insert(Stack.begin(), Line);
+  LastWasResident = MruStack.touch(Set, Line) != SetMruStacks::Miss;
 
   LastWasNewLine = SeenLines.emplace(Line, 0).second;
   if (LastWasNewLine) {
@@ -101,8 +94,7 @@ void SetOccupancyTracker::resetWindow() {
   for (auto &Map : InWindow)
     Map.clear();
   std::fill(Occupancy.begin(), Occupancy.end(), 0);
-  for (std::vector<uint64_t> &Stack : MruStack)
-    Stack.clear();
+  MruStack.clear();
   SetsInWindow = 0;
   CurOver = 0;
   LastWasNewLine = false;

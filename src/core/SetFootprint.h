@@ -24,6 +24,7 @@
 #define CCPROF_CORE_SETFOOTPRINT_H
 
 #include "sim/CacheGeometry.h"
+#include "sim/ReuseDistance.h"
 
 #include <cstdint>
 #include <unordered_map>
@@ -123,7 +124,7 @@ private:
   bool LastWasResident = false;
   /// Per-set MRU stacks of the `associativity` most recent lines: the
   /// predicted residency under LRU replacement.
-  std::vector<std::vector<uint64_t>> MruStack;
+  SetMruStacks MruStack;
   /// Global set of lines ever seen (for cold-line classification).
   std::unordered_map<uint64_t, char> SeenLines;
 };

@@ -19,6 +19,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 namespace ccprof {
@@ -90,6 +91,14 @@ private:
   uint32_t SetShift;
   bool SetsArePow2;
 };
+
+/// Parses a "SIZE/LINE/WAYS" spec; SIZE takes a K or M suffix, as in
+/// "32K/64/8". The shape is validated here — positive fields, a
+/// power-of-two line, 1..64 ways, size divisible by line * ways — so a
+/// bad spec is an input error, not an assertion inside the constructor.
+/// \returns std::nullopt with \p Error set to the reason otherwise.
+std::optional<CacheGeometry> parseGeometrySpec(const std::string &Spec,
+                                               std::string &Error);
 
 } // namespace ccprof
 

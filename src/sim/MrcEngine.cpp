@@ -84,19 +84,17 @@ double MissRatioCurve::modelMissRatioAt(const CacheGeometry &Geometry) const {
 PerSetStackPass::PerSetStackPass(const CacheGeometry &Reference,
                                  uint32_t MaxWays, SetRange Window)
     : Reference(Reference), MaxWays(MaxWays), Window(Window),
-      Stacks(Window.size()) {}
+      Stacks(Window.size(), MaxWays) {}
 
 void PerSetStackPass::addRef(uint64_t Addr) {
   const uint64_t Set = Reference.setIndexOf(Addr);
   assert(Window.contains(Set) && "reference outside the pass window");
   const uint64_t Line = Reference.lineAddrOf(Addr);
-  std::vector<uint64_t> &Stack = Stacks[Set - Window.Begin];
 
-  auto It = std::find(Stack.begin(), Stack.end(), Line);
-  if (It != Stack.end()) {
-    // Stack position == distinct same-set lines touched since last use.
-    Distances.add(static_cast<uint64_t>(It - Stack.begin()));
-    Stack.erase(It);
+  // Stack position == distinct same-set lines touched since last use.
+  const uint32_t Position = Stacks.touch(Set - Window.Begin, Line);
+  if (Position != SetMruStacks::Miss) {
+    Distances.add(Position);
   } else if (Seen.insert(Line).second) {
     ++Cold;
   } else {
@@ -105,9 +103,6 @@ void PerSetStackPass::addRef(uint64_t Addr) {
     // every queryable associativity.
     Distances.add(MaxWays);
   }
-  Stack.insert(Stack.begin(), Line);
-  if (Stack.size() > MaxWays)
-    Stack.pop_back();
 }
 
 //===----------------------------------------------------------------------===//

@@ -179,9 +179,8 @@ private:
   CacheGeometry Reference;
   uint32_t MaxWays;
   SetRange Window;
-  /// MRU-first line stacks, depth-capped at MaxWays; index = set -
-  /// Window.Begin.
-  std::vector<std::vector<uint64_t>> Stacks;
+  /// Depth MaxWays; index = set - Window.Begin.
+  SetMruStacks Stacks;
   std::unordered_set<uint64_t> Seen;
   Histogram Distances;
   uint64_t Cold = 0;

@@ -25,6 +25,8 @@
 
 #include "support/Histogram.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <limits>
 #include <unordered_map>
@@ -104,6 +106,50 @@ private:
   size_t Clock = 0;
   uint64_t ColdCount = 0;
   Histogram Distances;
+};
+
+/// Per-set most-recently-used line stacks, each capped at a fixed depth:
+/// the exact contents of a depth-way LRU cache, most recent first. The
+/// exact MRC pass reads a hit's position as its per-set stack distance;
+/// set-footprint tracking reads it as LRU residency.
+class SetMruStacks {
+public:
+  /// touch() result for a line that was not on its set's stack.
+  static constexpr uint32_t Miss = std::numeric_limits<uint32_t>::max();
+
+  SetMruStacks(size_t NumSets, uint32_t Depth)
+      : Depth(Depth), Stacks(NumSets) {
+    assert(Depth > 0 && "a stack must hold at least one line");
+  }
+
+  /// Moves \p Line to the top of stack \p Set, dropping the bottom line
+  /// when a new line overflows the depth. \returns the line's previous
+  /// position (0 = most recent), or Miss if it was not on the stack.
+  uint32_t touch(size_t Set, uint64_t Line) {
+    std::vector<uint64_t> &Stack = Stacks[Set];
+    auto It = std::find(Stack.begin(), Stack.end(), Line);
+    const uint32_t Position =
+        It == Stack.end() ? Miss : static_cast<uint32_t>(It - Stack.begin());
+    if (Position == Miss) {
+      if (Stack.size() < Depth)
+        Stack.push_back(Line);
+      It = Stack.end() - 1;
+    }
+    // Slide everything above the vacated slot down one; the line (or
+    // the dropped bottom line) is overwritten.
+    std::copy_backward(Stack.begin(), It, It + 1);
+    Stack.front() = Line;
+    return Position;
+  }
+
+  void clear() {
+    for (std::vector<uint64_t> &Stack : Stacks)
+      Stack.clear();
+  }
+
+private:
+  uint32_t Depth;
+  std::vector<std::vector<uint64_t>> Stacks;
 };
 
 } // namespace ccprof

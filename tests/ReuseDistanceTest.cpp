@@ -196,3 +196,35 @@ TEST(ReuseDistanceTest, PredictsFullyAssociativeLruHits) {
     EXPECT_EQ(Hit, Predicted) << "at access " << I;
   }
 }
+
+TEST(SetMruStacksTest, PositionIsThePerSetReuseDistanceWithinTheDepth) {
+  // Each set's stack is a Depth-way LRU cache: a touch hits at the
+  // line's per-set reuse distance when that is below the depth and
+  // misses otherwise, including on first touch.
+  constexpr uint32_t Depth = 4;
+  constexpr size_t Sets = 3;
+  SetMruStacks Stacks(Sets, Depth);
+  std::vector<ReuseDistanceAnalyzer> PerSet(Sets);
+  Xoshiro256 Rng(0x57ac);
+  for (int I = 0; I < 20000; ++I) {
+    const size_t Set = Rng.nextBounded(Sets);
+    const uint64_t Line = Rng.nextBounded(10) * Sets + Set;
+    const uint64_t Distance = PerSet[Set].access(Line);
+    const uint32_t Position = Stacks.touch(Set, Line);
+    if (Distance < Depth)
+      EXPECT_EQ(Position, Distance) << "at access " << I;
+    else
+      EXPECT_EQ(Position, SetMruStacks::Miss) << "at access " << I;
+  }
+}
+
+TEST(SetMruStacksTest, ClearForgetsEveryLine) {
+  SetMruStacks Stacks(2, 2);
+  EXPECT_EQ(Stacks.touch(0, 7), SetMruStacks::Miss);
+  EXPECT_EQ(Stacks.touch(1, 8), SetMruStacks::Miss);
+  EXPECT_EQ(Stacks.touch(0, 9), SetMruStacks::Miss);
+  EXPECT_EQ(Stacks.touch(0, 7), 1u);
+  Stacks.clear();
+  EXPECT_EQ(Stacks.touch(0, 7), SetMruStacks::Miss);
+  EXPECT_EQ(Stacks.touch(1, 8), SetMruStacks::Miss);
+}
