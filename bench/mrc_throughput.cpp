@@ -29,6 +29,7 @@
 
 #include "sim/Cache.h"
 #include "sim/MrcEngine.h"
+#include "support/Flags.h"
 #include "support/Table.h"
 #include "trace/Canonicalize.h"
 #include "workloads/Workload.h"
@@ -36,7 +37,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -146,18 +146,14 @@ std::string fixed(double Value, int Digits) {
 
 int main(int Argc, char **Argv) {
   bool Json = false, Gate = false, Smoke = false;
-  for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--json") == 0)
-      Json = true;
-    else if (std::strcmp(Argv[I], "--gate") == 0)
-      Gate = true;
-    else if (std::strcmp(Argv[I], "--smoke") == 0)
-      Smoke = true;
-    else {
-      std::cerr << "usage: mrc_throughput [--json] [--gate] [--smoke]\n";
-      return 2;
-    }
-  }
+  const flags::FlagTable Table = {
+      flags::toggle("--json", "machine-readable output only", Json),
+      flags::toggle("--gate", "fail below the speedup and error floors",
+                    Gate),
+      flags::toggle("--smoke", "one repeat per measurement", Smoke),
+  };
+  if (!flags::parseCommandLine(Argc, Argv, "mrc_throughput", Table))
+    return 2;
 
   if (Smoke)
     Repeats = 1;

@@ -58,13 +58,12 @@
 #include "sim/PartitionCache.h"
 #include "sim/MachineConfig.h"
 #include "sim/ReferenceCache.h"
+#include "support/Flags.h"
 #include "support/Rng.h"
 #include "support/Table.h"
 #include "support/ThreadPool.h"
 
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -457,23 +456,17 @@ int main(int Argc, char **Argv) {
   bool Large = false;
   bool Gate = false;
   size_t LargeRefs = 100'000'000;
-  for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--smoke") == 0)
-      Smoke = true;
-    else if (std::strcmp(Argv[I], "--json") == 0)
-      JsonOnly = true;
-    else if (std::strcmp(Argv[I], "--large") == 0)
-      Large = true;
-    else if (std::strcmp(Argv[I], "--gate") == 0)
-      Gate = true;
-    else if (std::strcmp(Argv[I], "--refs") == 0 && I + 1 < Argc)
-      LargeRefs = static_cast<size_t>(std::strtoull(Argv[++I], nullptr, 10));
-    else {
-      std::cerr << "usage: sim_throughput [--smoke] [--json] [--large] "
-                   "[--refs N] [--gate]\n";
-      return 2;
-    }
-  }
+  const flags::FlagTable Table = {
+      flags::toggle("--smoke", "400k-ref tier instead of 8M", Smoke),
+      flags::toggle("--json", "machine-readable output only", JsonOnly),
+      flags::toggle("--large", "add the steady-state --refs tier", Large),
+      flags::value("--refs", "N", "references of the --large tier "
+                   "(default 100M)", LargeRefs, flags::unsignedIn<size_t>()),
+      flags::toggle("--gate", "fail below the speedup floors (needs --large)",
+                    Gate),
+  };
+  if (!flags::parseCommandLine(Argc, Argv, "sim_throughput", Table))
+    return 2;
   if (Gate && !Large) {
     std::cerr << "error: --gate requires --large (the floor is defined on "
                  "the steady-state tier)\n";

@@ -27,11 +27,11 @@
 
 #include "analysis/StaticConflictAnalyzer.h"
 #include "pipeline/JobRunner.h"
+#include "support/Flags.h"
 #include "support/Table.h"
 #include "workloads/Workload.h"
 
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -64,9 +64,11 @@ struct ModelRow {
 
 int main(int Argc, char **Argv) {
   bool JsonOnly = false;
-  for (int I = 1; I < Argc; ++I)
-    if (std::strcmp(Argv[I], "--json") == 0)
-      JsonOnly = true;
+  const flags::FlagTable Table = {
+      flags::toggle("--json", "machine-readable output only", JsonOnly),
+  };
+  if (!flags::parseCommandLine(Argc, Argv, "static_analyze", Table))
+    return 2;
 
   //===------------------------------------------------------------------===//
   // 1. Prediction throughput: analyze every model, no simulation.

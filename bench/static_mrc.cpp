@@ -32,13 +32,13 @@
 #include "analysis/StaticConflictAnalyzer.h"
 #include "pipeline/JobRunner.h"
 #include "sim/MrcEngine.h"
+#include "support/Flags.h"
 #include "support/Table.h"
 #include "trace/Canonicalize.h"
 #include "workloads/Workload.h"
 
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <vector>
@@ -83,12 +83,13 @@ struct AccuracyRow {
 
 int main(int Argc, char **Argv) {
   bool JsonOnly = false, Gate = false;
-  for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--json") == 0)
-      JsonOnly = true;
-    else if (std::strcmp(Argv[I], "--gate") == 0)
-      Gate = true;
-  }
+  const flags::FlagTable Table = {
+      flags::toggle("--json", "machine-readable output only", JsonOnly),
+      flags::toggle("--gate", "fail past the 0.05 curve bound or when "
+                    "screening misses a full group", Gate),
+  };
+  if (!flags::parseCommandLine(Argc, Argv, "static_mrc", Table))
+    return 2;
 
   //===------------------------------------------------------------------===//
   // 1. Prediction accuracy: analytic curves vs exact traced curves.

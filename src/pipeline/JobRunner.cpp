@@ -59,6 +59,27 @@ std::string geometryKey(const CacheGeometry &G) {
 
 } // namespace
 
+std::vector<MrcPoint>
+ccprof::readMrcPoints(const MissRatioCurve &Curve,
+                      std::vector<CacheGeometry> Geometries) {
+  auto Shape = [](const CacheGeometry &Geometry) {
+    return std::tuple(Geometry.sizeBytes(), Geometry.lineBytes(),
+                      Geometry.associativity());
+  };
+  std::sort(Geometries.begin(), Geometries.end(),
+            [&](const CacheGeometry &A, const CacheGeometry &B) {
+              return Shape(A) < Shape(B);
+            });
+  Geometries.erase(std::unique(Geometries.begin(), Geometries.end()),
+                   Geometries.end());
+  std::vector<MrcPoint> Points;
+  Points.reserve(Geometries.size());
+  for (const CacheGeometry &Geometry : Geometries)
+    Points.push_back(MrcPoint{Geometry, Curve.missRatioAt(Geometry),
+                              Curve.isExactAt(Geometry)});
+  return Points;
+}
+
 std::string ccprof::missStreamKeyOf(const JobSpec &Job) {
   const ProfileOptions Options = Job.toProfileOptions();
   std::string Key = Job.WorkloadName + '|' + variantName(Job.Variant) + '|' +
@@ -315,23 +336,9 @@ std::vector<JobOutcome> ccprof::runJobsShared(
           const MissRatioCurve Curve =
               MrcEngine::compute(T, MrcOpts, GroupSim);
 
-          std::vector<CacheGeometry> Geometries;
-          Geometries.reserve(Routed.size() + Exec.MrcSweep.size());
+          std::vector<CacheGeometry> Geometries = Exec.MrcSweep;
           for (size_t I : Routed)
             Geometries.push_back(Jobs[I].toProfileOptions().L1);
-          Geometries.insert(Geometries.end(), Exec.MrcSweep.begin(),
-                            Exec.MrcSweep.end());
-          auto Shape = [](const CacheGeometry &Geometry) {
-            return std::make_tuple(Geometry.sizeBytes(), Geometry.lineBytes(),
-                                   Geometry.associativity());
-          };
-          std::sort(Geometries.begin(), Geometries.end(),
-                    [&](const CacheGeometry &A, const CacheGeometry &B) {
-                      return Shape(A) < Shape(B);
-                    });
-          Geometries.erase(
-              std::unique(Geometries.begin(), Geometries.end()),
-              Geometries.end());
 
           MrcGroupCurve GroupCurve;
           GroupCurve.WorkloadName = First.WorkloadName;
@@ -340,11 +347,7 @@ std::vector<JobOutcome> ccprof::runJobsShared(
           GroupCurve.Sampled = Curve.Sampled;
           GroupCurve.FinalRate = Curve.FinalRate;
           GroupCurve.RoutedJobs = Routed.size();
-          GroupCurve.Points.reserve(Geometries.size());
-          for (const CacheGeometry &Geometry : Geometries)
-            GroupCurve.Points.push_back(MrcPoint{
-                Geometry, Curve.missRatioAt(Geometry),
-                Curve.isExactAt(Geometry)});
+          GroupCurve.Points = readMrcPoints(Curve, std::move(Geometries));
           GroupCurves[G] = std::move(GroupCurve);
           NumMrcGroups.fetch_add(1);
           NumMrcRouted.fetch_add(Routed.size());

@@ -130,6 +130,12 @@ struct MrcPoint {
   bool Exact = false;
 };
 
+/// Reads \p Curve at each of \p Geometries, ordered by (size, line,
+/// ways) with duplicates dropped, so the points come out in one
+/// canonical order however the geometries were listed.
+std::vector<MrcPoint> readMrcPoints(const MissRatioCurve &Curve,
+                                    std::vector<CacheGeometry> Geometries);
+
 /// The single-pass MRC of one (workload, variant) group of a --mrc
 /// batch run: predicted miss ratios at every distinct L1 geometry of
 /// the group's routed jobs plus every requested sweep point.

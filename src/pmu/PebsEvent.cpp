@@ -8,70 +8,17 @@
 #include "pmu/PebsEvent.h"
 
 #include "sim/PartitionCache.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstring>
+#include <optional>
 
 using namespace ccprof;
 
 namespace {
-
-/// Decision of the sharding gate: how many shards to cut and how many
-/// pool workers were granted to help simulate them.
-struct ShardGrant {
-  unsigned Shards = 1;  ///< 1 = stay sequential.
-  unsigned Helpers = 0; ///< Budget slots to release afterwards.
-};
-
-/// Applies the oversubscription policy: shard only with threads to
-/// spare. The budget hands out idle slots only — when batch-level jobs
-/// already cover the machine nothing is granted and the simulation
-/// stays sequential; on the tail of a run (or a small matrix on a big
-/// machine) the freed worker slots flow here and the job fans out.
-ShardGrant acquireShardGrant(const SimContext &Ctx, uint64_t NumSets,
-                             size_t NumRefs, bool IsL2Stage2 = false) {
-  ShardGrant Grant;
-  if (!Ctx.Pool || NumSets < 2 || NumRefs < Ctx.MinRefsToShard)
-    return Grant;
-
-  // The grant asks the budget for every pool worker, not Shards - 1:
-  // partition chunks, the bitmap union, and event compaction all
-  // parallelize past the shard count, so slots beyond the replay's
-  // need still cut the serial fraction. Replay simply leaves extra
-  // workers idle (parallelFor hands out at most one token per shard).
-  Grant.Helpers = Ctx.Budget ? Ctx.Budget->tryAcquire(Ctx.Pool->workerCount())
-                             : Ctx.Pool->workerCount();
-  // An explicit shard count is honored even when no helper is idle
-  // (the caller's thread simulates every shard); an automatic count
-  // follows the grant so a lone thread skips partitioning entirely.
-  Grant.Shards = static_cast<unsigned>(std::min<uint64_t>(
-      NumSets, Ctx.Shards != 0 ? Ctx.Shards : Grant.Helpers + 1));
-  if (Ctx.Stats && Grant.Shards > 1) {
-    if (IsL2Stage2) {
-      // The L2 stage-2 replay is a nested phase of one collection, not
-      // a second simulation — it gets its own counter so bench sweeps
-      // see how often the miss stream was big enough to shard.
-      Ctx.Stats->L2StageShardedSims.fetch_add(1, std::memory_order_relaxed);
-      return Grant;
-    }
-    Ctx.Stats->ShardedSims.fetch_add(1, std::memory_order_relaxed);
-    // Degraded mode: the shard count was forced but no helper showed
-    // up, so one thread replays every shard back to back. Bench sweeps
-    // read this to tell "sharded but unhelped" from real parallelism.
-    if (Grant.Helpers == 0)
-      Ctx.Stats->UnhelpedShardedSims.fetch_add(1, std::memory_order_relaxed);
-  }
-  return Grant;
-}
-
-void releaseShardGrant(const SimContext &Ctx, const ShardGrant &Grant) {
-  if (Ctx.Budget && Grant.Helpers > 0)
-    Ctx.Budget->release(Grant.Helpers);
-}
 
 /// Replays every shard of \p Parts through a windowed cache of
 /// \p Geometry, each shard marking its misses in its own bitmap over
@@ -81,9 +28,9 @@ MissUnion replayShards(const ShardPartition &Parts,
                        std::span<const SetRange> Plan,
                        const CacheGeometry &Geometry, ReplacementKind Policy,
                        size_t NumRefs, bool MarkStores, const SimContext &Ctx,
-                       unsigned Helpers) {
+                       const ShardGrant &Grant) {
   std::vector<MissBitmap> PerShard(Plan.size());
-  Ctx.Pool->parallelFor(Plan.size(), Helpers, [&](size_t S) {
+  Grant.run(Plan.size(), [&](size_t S) {
     std::unique_ptr<Cache> ShardCache =
         Ctx.CachePool ? Ctx.CachePool->acquire(Geometry, Policy, Plan[S])
                       : std::make_unique<Cache>(Geometry, Plan[S], Policy);
@@ -92,7 +39,7 @@ MissUnion replayShards(const ShardPartition &Parts,
     if (Ctx.CachePool)
       Ctx.CachePool->park(std::move(ShardCache));
   });
-  return unionMissBitmaps(PerShard, *Ctx.Pool, Helpers);
+  return unionMissBitmaps(PerShard, *Ctx.Pool, Grant.helpers());
 }
 
 /// Shards the full reference stream through caches of \p Geometry and
@@ -105,12 +52,12 @@ MissUnion shardedMisses(std::span<const MemoryRecord> Records,
                         const CacheGeometry &Geometry, ReplacementKind Policy,
                         bool MarkStores, const SimContext &Ctx,
                         const ShardGrant &Grant) {
-  const std::vector<SetRange> Plan = planShards(Geometry.numSets(),
-                                                Grant.Shards);
+  const std::vector<SetRange> Plan =
+      planShards(Geometry.numSets(), Grant.shards());
   const PartitionCache::PartitionPtr Parts =
-      routeOrReuse(Records, Geometry, Plan, Ctx, Grant.Helpers);
+      routeOrReuse(Records, Geometry, Plan, Ctx, Grant.helpers());
   return replayShards(*Parts, Plan, Geometry, Policy, Records.size(),
-                      MarkStores, Ctx, Grant.Helpers);
+                      MarkStores, Ctx, Grant);
 }
 
 /// Emits one event per set bit of \p Misses, in ascending sequence
@@ -118,7 +65,7 @@ MissUnion shardedMisses(std::span<const MemoryRecord> Records,
 /// prefix, so the stream is identical at every helper count.
 template <typename EventFn>
 std::vector<MissEvent> compactMisses(const MissUnion &Misses,
-                                     const SimContext &Ctx, unsigned Helpers,
+                                     const ShardGrant &Grant,
                                      EventFn EventOf) {
   const size_t NumChunks = Misses.Chunks.size() - 1;
   std::vector<MissEvent> Stream;
@@ -129,14 +76,14 @@ std::vector<MissEvent> compactMisses(const MissUnion &Misses,
   // the raw bytes of its own slice first, so the faults run in parallel
   // and resize() only rewrites mapped pages.
   std::byte *const Raw = reinterpret_cast<std::byte *>(Stream.data());
-  Ctx.Pool->parallelFor(NumChunks, Helpers, [&](size_t C) {
+  Grant.run(NumChunks, [&](size_t C) {
     const size_t Events = Misses.Offsets[C + 1] - Misses.Offsets[C];
     if (Events != 0)
       std::memset(Raw + Misses.Offsets[C] * sizeof(MissEvent), 0,
                   Events * sizeof(MissEvent));
   });
   Stream.resize(Misses.count());
-  Ctx.Pool->parallelFor(NumChunks, Helpers, [&](size_t C) {
+  Grant.run(NumChunks, [&](size_t C) {
     size_t Out = Misses.Offsets[C];
     for (size_t W = Misses.Chunks[C]; W < Misses.Chunks[C + 1]; ++W)
       for (uint64_t Word = Misses.Bits[W]; Word != 0; Word &= Word - 1)
@@ -154,16 +101,16 @@ shardedMissAggregates(std::span<const MemoryRecord> Records,
                       const CacheGeometry &Geometry, ReplacementKind Policy,
                       MissStreamOptions Options, const SimContext &Ctx,
                       const ShardGrant &Grant) {
-  const std::vector<SetRange> Plan = planShards(Geometry.numSets(),
-                                                Grant.Shards);
+  const std::vector<SetRange> Plan =
+      planShards(Geometry.numSets(), Grant.shards());
   const PartitionCache::PartitionPtr Parts =
-      routeOrReuse(Records, Geometry, Plan, Ctx, Grant.Helpers);
+      routeOrReuse(Records, Geometry, Plan, Ctx, Grant.helpers());
 
   MissStreamAggregates Agg;
   Agg.Accesses = Records.size();
   Agg.PerSetMisses.assign(Geometry.numSets(), 0);
   std::vector<ShardAggregates> PerShard(Plan.size());
-  Ctx.Pool->parallelFor(Plan.size(), Grant.Helpers, [&](size_t S) {
+  Grant.run(Plan.size(), [&](size_t S) {
     std::unique_ptr<Cache> ShardCache =
         Ctx.CachePool ? Ctx.CachePool->acquire(Geometry, Policy, Plan[S])
                       : std::make_unique<Cache>(Geometry, Plan[S], Policy);
@@ -260,16 +207,11 @@ ccprof::collectL1MissAggregates(const Trace &Execution,
                                 const SimContext &Ctx) {
   if (Options.Policy == ReplacementKind::Random)
     return sequentialMissAggregates(Execution, Geometry, Options);
-  const ShardGrant Grant =
-      acquireShardGrant(Ctx, Geometry.numSets(), Execution.size());
-  if (Grant.Shards <= 1 && Grant.Helpers == 0) {
-    releaseShardGrant(Ctx, Grant);
+  const ShardGrant Grant(Ctx, Geometry.numSets(), Execution.size());
+  if (!Grant.sharded())
     return sequentialMissAggregates(Execution, Geometry, Options);
-  }
-  MissStreamAggregates Agg = shardedMissAggregates(
-      Execution.records(), Geometry, Options.Policy, Options, Ctx, Grant);
-  releaseShardGrant(Ctx, Grant);
-  return Agg;
+  return shardedMissAggregates(Execution.records(), Geometry, Options.Policy,
+                               Options, Ctx, Grant);
 }
 
 std::vector<MissEvent> ccprof::collectL1MissStreamParallel(
@@ -277,23 +219,17 @@ std::vector<MissEvent> ccprof::collectL1MissStreamParallel(
     MissStreamOptions Options, const SimContext &Ctx) {
   if (Options.Policy == ReplacementKind::Random)
     return collectL1MissStream(Execution, Geometry, Options);
-  const ShardGrant Grant =
-      acquireShardGrant(Ctx, Geometry.numSets(), Execution.size());
-  if (Grant.Shards <= 1 && Grant.Helpers == 0) {
-    releaseShardGrant(Ctx, Grant);
+  const ShardGrant Grant(Ctx, Geometry.numSets(), Execution.size());
+  if (!Grant.sharded())
     return collectL1MissStream(Execution, Geometry, Options);
-  }
 
   const std::span<const MemoryRecord> Records = Execution.records();
   const MissUnion Misses = shardedMisses(Records, Geometry, Options.Policy,
                                          Options.IncludeStores, Ctx, Grant);
-  std::vector<MissEvent> Stream =
-      compactMisses(Misses, Ctx, Grant.Helpers, [&](uint64_t Seq) {
-        const MemoryRecord &Record = Records[Seq];
-        return MissEvent{Record.Site, Record.Addr, Record.Addr};
-      });
-  releaseShardGrant(Ctx, Grant);
-  return Stream;
+  return compactMisses(Misses, Grant, [&](uint64_t Seq) {
+    const MemoryRecord &Record = Records[Seq];
+    return MissEvent{Record.Site, Record.Addr, Record.Addr};
+  });
 }
 
 std::vector<MissEvent> ccprof::collectL2MissStreamParallel(
@@ -303,22 +239,22 @@ std::vector<MissEvent> ccprof::collectL2MissStreamParallel(
   if (Options.Policy == ReplacementKind::Random)
     return collectL2MissStream(Execution, L1Geometry, L2Geometry, Mapper,
                                Options);
-  const ShardGrant Grant =
-      acquireShardGrant(Ctx, L1Geometry.numSets(), Execution.size());
-  if (Grant.Shards <= 1 && Grant.Helpers == 0) {
-    releaseShardGrant(Ctx, Grant);
-    return collectL2MissStream(Execution, L1Geometry, L2Geometry, Mapper,
-                               Options);
-  }
 
   // Stage 1 (sharded): the full-trace L1 replay, by far the dominant
   // cost. Every L1 miss reaches L2 regardless of load/store, so the
-  // bitmaps mark stores too.
+  // bitmaps mark stores too. Its grant ends with the replay: the
+  // translation pass below is sequential.
   const std::span<const MemoryRecord> Records = Execution.records();
-  const MissUnion L1Misses =
-      shardedMisses(Records, L1Geometry, Options.Policy,
-                    /*MarkStores=*/true, Ctx, Grant);
-  releaseShardGrant(Ctx, Grant);
+  std::optional<MissUnion> L1Misses;
+  {
+    const ShardGrant Grant(Ctx, L1Geometry.numSets(), Records.size());
+    if (Grant.sharded())
+      L1Misses = shardedMisses(Records, L1Geometry, Options.Policy,
+                               /*MarkStores=*/true, Ctx, Grant);
+  }
+  if (!L1Misses)
+    return collectL2MissStream(Execution, L1Geometry, L2Geometry, Mapper,
+                               Options);
 
   // Translation pass (sequential): PageMapper allocates frames at
   // first touch, so the translation *order* is semantic — it must
@@ -328,9 +264,9 @@ std::vector<MissEvent> ccprof::collectL2MissStreamParallel(
   // Each L1 miss becomes one ShardRef carrying its record index as
   // seq, so an event reads Records[seq] directly.
   std::vector<ShardRef> L2Refs;
-  L2Refs.reserve(L1Misses.count());
-  for (size_t W = 0; W < L1Misses.Bits.size(); ++W) {
-    for (uint64_t Word = L1Misses.Bits[W]; Word != 0; Word &= Word - 1) {
+  L2Refs.reserve(L1Misses->count());
+  for (size_t W = 0; W < L1Misses->Bits.size(); ++W) {
+    for (uint64_t Word = L1Misses->Bits[W]; Word != 0; Word &= Word - 1) {
       const uint64_t Seq = W * 64 + std::countr_zero(Word);
       const MemoryRecord &Record = Records[Seq];
       L2Refs.push_back(ShardRef::make(Seq, Mapper.translate(Record.Addr),
@@ -343,15 +279,14 @@ std::vector<MissEvent> ccprof::collectL2MissStreamParallel(
   // (the same per-set independence argument applies — only the
   // addresses now are physical). Sequential otherwise: the L1 miss
   // stream is usually a small fraction of the trace.
-  const ShardGrant Grant2 = acquireShardGrant(
-      Ctx, L2Geometry.numSets(), L2Refs.size(), /*IsL2Stage2=*/true);
+  const ShardGrant Grant(Ctx, L2Geometry.numSets(), L2Refs.size(),
+                         ShardPhase::L2Stage2);
   auto EventOf = [&](uint64_t Idx) {
     const ShardRef &Ref = L2Refs[Idx];
     return MissEvent{Records[Ref.seq()].Site, Ref.Addr,
                      Records[Ref.seq()].Addr};
   };
-  if (Grant2.Shards <= 1 && Grant2.Helpers == 0) {
-    releaseShardGrant(Ctx, Grant2);
+  if (!Grant.sharded()) {
     Cache L2(L2Geometry, Options.Policy);
     std::vector<MissEvent> Stream;
     Stream.reserve(L2Refs.size() / 4 + 16);
@@ -370,14 +305,11 @@ std::vector<MissEvent> ccprof::collectL2MissStreamParallel(
   // stage-2 input is an L1-config-dependent miss stream, not the
   // trace, so no two configs share it.
   const std::vector<SetRange> L2Plan =
-      planShards(L2Geometry.numSets(), Grant2.Shards);
+      planShards(L2Geometry.numSets(), Grant.shards());
   const ShardPartition L2Parts = partitionRefsBySet(
-      L2Refs, L2Geometry, L2Plan, *Ctx.Pool, Grant2.Helpers);
+      L2Refs, L2Geometry, L2Plan, *Ctx.Pool, Grant.helpers());
   const MissUnion L2Misses =
       replayShards(L2Parts, L2Plan, L2Geometry, Options.Policy, L2Refs.size(),
-                   Options.IncludeStores, Ctx, Grant2.Helpers);
-  std::vector<MissEvent> Stream =
-      compactMisses(L2Misses, Ctx, Grant2.Helpers, EventOf);
-  releaseShardGrant(Ctx, Grant2);
-  return Stream;
+                   Options.IncludeStores, Ctx, Grant);
+  return compactMisses(L2Misses, Grant, EventOf);
 }

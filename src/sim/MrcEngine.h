@@ -48,16 +48,12 @@
 #define CCPROF_SIM_MRCENGINE_H
 
 #include "sim/CacheGeometry.h"
-#include "sim/ReuseDistance.h"
 #include "sim/ShardedSim.h"
 #include "support/Histogram.h"
 #include "trace/Trace.h"
 
+#include <cstddef>
 #include <cstdint>
-#include <set>
-#include <unordered_set>
-#include <utility>
-#include <vector>
 
 namespace ccprof {
 
@@ -96,7 +92,8 @@ struct MrcOptions {
   /// the curve at 1 shard is bit-identical to the legacy single-filter
   /// pass. Because each shard's state depends only on its own
   /// substream, in stream order, the shards can run in parallel
-  /// (MrcEngine::compute) with results identical to streaming.
+  /// (MrcEngine::compute) with results identical to one sequential
+  /// scan.
   uint32_t SampleShards = 1;
 };
 
@@ -159,103 +156,19 @@ struct MissRatioCurve {
   double modelMissRatioAt(const CacheGeometry &Geometry) const;
 };
 
-/// The per-set half of the exact pass: depth-capped MRU stacks, one
-/// per set in \p Window, plus first-touch detection. Public because
-/// the sharded pass runs one instance per set shard and merges the
-/// histograms (sets are independent, so the merge is exact and
-/// deterministic at every shard shape).
-class PerSetStackPass {
-public:
-  PerSetStackPass(const CacheGeometry &Reference, uint32_t MaxWays,
-                  SetRange Window);
-
-  /// Feeds one reference; its set must fall inside the window.
-  void addRef(uint64_t Addr);
-
-  const Histogram &distances() const { return Distances; }
-  uint64_t coldCount() const { return Cold; }
-
-private:
-  CacheGeometry Reference;
-  uint32_t MaxWays;
-  SetRange Window;
-  /// Depth MaxWays; index = set - Window.Begin.
-  SetMruStacks Stacks;
-  std::unordered_set<uint64_t> Seen;
-  Histogram Distances;
-  uint64_t Cold = 0;
-};
-
-/// Streaming single-pass MRC builder. Feed references (addRef /
-/// addTrace), then take() the curve. For one-shot construction over a
-/// Trace — optionally sharded across a SimContext's thread pool with
-/// results identical at every execution shape — use compute().
+/// Single-pass MRC construction over a trace.
 class MrcEngine {
 public:
-  explicit MrcEngine(const MrcOptions &Opts);
-
-  const MrcOptions &options() const { return Opts; }
-
-  void addRef(uint64_t Addr);
-  void addTrace(const Trace &T);
-
-  /// Finalizes and moves the curve out; the engine is then spent.
-  MissRatioCurve take();
-
-  /// One pass over \p T. With a usable SimContext (pool + enough refs)
-  /// the exact per-set pass shards over the set partition while the
-  /// global pass runs as a sibling task; the exact partition is served
-  /// from Ctx.Partitions when the context carries a registered trace.
-  /// Sampled passes with MrcOptions::SampleShards > 1 run their
-  /// hash-space sub-filters in parallel. Either way the curve is
-  /// identical to the sequential one at every --sim-threads/--shards
+  /// One pass over \p T. The exact pass runs the global Mattson stack
+  /// as task 0 and the per-set stacks as tasks 1..K, one per set shard
+  /// of a ShardGrant (K = 1 reads the trace in place; K > 1 is served
+  /// from Ctx.Partitions when the context carries a registered trace).
+  /// The SHARDS pass runs one task per granted thread, each owning a
+  /// contiguous range of hash-prefix sub-filters. Either way the curve
+  /// is identical to the sequential one at every --sim-threads/--shards
   /// shape.
   static MissRatioCurve compute(const Trace &T, const MrcOptions &Opts,
                                 const SimContext &Ctx = SimContext{});
-
-private:
-  /// One SHARDS sub-filter owning the hash-prefix slice of line space.
-  /// All rates are *effective* (threshold rate / shard count): the
-  /// shard tracks a random 1/NumShards-of-hash-space sample further
-  /// thinned by its own threshold, and every weight/distance insert is
-  /// scaled to full-stream units at insert time.
-  struct SampledShard {
-    ReuseDistanceAnalyzer Global;
-    uint64_t Threshold = 0; ///< Track lines with subhash < Threshold.
-    /// (subhash, line) — ordered so the largest tracked subhash is the
-    /// adaptive eviction victim.
-    std::set<std::pair<uint64_t, uint64_t>> Reservoir;
-    Histogram ScaledStack;
-    uint64_t ScaledCold = 0;
-    size_t MaxLines = 0;
-
-    void addLine(uint64_t SubHash, uint64_t LineAddr, uint32_t NumShards);
-    /// Lower the threshold until the reservoir fits; evicts the
-    /// dropped lines from the analyzer so tracked set ==
-    /// filter-passing set.
-    void shrink();
-    /// Threshold rate of this shard's sub-filter (NOT divided by the
-    /// shard count).
-    double rate() const;
-  };
-
-  void addRefSampled(uint64_t LineAddr);
-  /// Runs every sample shard over \p T concurrently (each shard scans
-  /// the stream and keeps only its hash prefix — states are disjoint,
-  /// so the result is identical to streaming the trace through
-  /// addRef).
-  void addTraceSampledParallel(const Trace &T, ThreadPool &Pool,
-                               unsigned Helpers);
-  uint32_t numSampleShards() const { return 1u << LgSampleShards; }
-
-  MrcOptions Opts;
-  ReuseDistanceAnalyzer Global;
-  PerSetStackPass PerSet;
-  uint64_t TotalRefs = 0;
-
-  // SHARDS state (sampled mode only).
-  unsigned LgSampleShards = 0;
-  std::vector<SampledShard> SampledShards;
 };
 
 } // namespace ccprof

@@ -128,11 +128,9 @@ ccprof::routeOrReuse(std::span<const MemoryRecord> Records,
                      const CacheGeometry &Geometry,
                      std::span<const SetRange> Plan, const SimContext &Ctx,
                      unsigned Helpers) {
-  auto Route = [&]() -> ShardPartition {
-    if (Helpers > 0)
-      return partitionBySetParallel(Records, Geometry, Plan, *Ctx.Pool,
-                                    Helpers);
-    return partitionBySet(Records, Geometry, Plan);
+  assert(Ctx.Pool && "routing runs on the context's pool");
+  auto Route = [&] {
+    return partitionBySetParallel(Records, Geometry, Plan, *Ctx.Pool, Helpers);
   };
 
   if (!Ctx.Partitions || Ctx.TraceId == 0) {

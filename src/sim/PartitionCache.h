@@ -139,9 +139,9 @@ private:
 /// The one entry point the collectors route through: produces the
 /// partition of \p Records by \p Plan — served from Ctx.Partitions
 /// when the context carries a registered trace, routed on the spot
-/// otherwise. Routing runs block-parallel on Ctx.Pool when
-/// \p Helpers > 0, sequentially otherwise; the bytes are identical
-/// either way. Bumps Ctx.Stats->PartitionBuilds / PartitionReuses.
+/// otherwise. Routing runs block-parallel on Ctx.Pool (which must be
+/// set) across \p Helpers workers — all in the caller at 0; the bytes
+/// are identical either way. Bumps Ctx.Stats->PartitionBuilds / PartitionReuses.
 PartitionCache::PartitionPtr
 routeOrReuse(std::span<const MemoryRecord> Records,
              const CacheGeometry &Geometry, std::span<const SetRange> Plan,

@@ -96,28 +96,6 @@ void scatterChunk(std::span<const RecordT> Records, size_t Begin,
 }
 
 template <typename RecordT>
-ShardPartition partitionImpl(std::span<const RecordT> Records,
-                             const CacheGeometry &Geometry,
-                             std::span<const SetRange> Plan) {
-  const ShardMap Map(Plan);
-  const size_t K = Plan.size();
-
-  ShardPartition Part;
-  Part.Offsets.assign(K + 1, 0);
-  // Count pass: exact shard sizes so the arena never regrows.
-  std::vector<size_t> Counts(K, 0);
-  countChunk(Records, 0, Records.size(), Geometry, Map, Counts.data());
-  for (size_t S = 0; S < K; ++S)
-    Part.Offsets[S + 1] = Part.Offsets[S] + Counts[S];
-
-  Part.Arena.resize(Records.size());
-  std::vector<size_t> Cursors(Part.Offsets.begin(), Part.Offsets.end() - 1);
-  scatterChunk(Records, 0, Records.size(), Geometry, Map, Part.Arena,
-               Cursors.data());
-  return Part;
-}
-
-template <typename RecordT>
 ShardPartition partitionParallelImpl(std::span<const RecordT> Records,
                                      const CacheGeometry &Geometry,
                                      std::span<const SetRange> Plan,
@@ -171,7 +149,9 @@ ShardPartition partitionParallelImpl(std::span<const RecordT> Records,
 ShardPartition ccprof::partitionBySet(std::span<const MemoryRecord> Records,
                                       const CacheGeometry &Geometry,
                                       std::span<const SetRange> Plan) {
-  return partitionImpl(Records, Geometry, Plan);
+  // A zero-worker pool starts no thread: every chunk runs in the caller.
+  ThreadPool Inline(0);
+  return partitionParallelImpl(Records, Geometry, Plan, Inline, 0);
 }
 
 ShardPartition
@@ -323,4 +303,46 @@ size_t ShardCachePool::parked() const {
 uint64_t ShardCachePool::reuses() const {
   std::lock_guard<std::mutex> Lock(Mutex);
   return Reuses;
+}
+
+ShardGrant::ShardGrant(const SimContext &Ctx, uint64_t MaxUnits,
+                       size_t NumRefs, ShardPhase Phase)
+    : Ctx(Ctx) {
+  // One shard is the whole stream: helpers cannot speed it up and
+  // routing it would only copy the trace.
+  const bool Forced = Phase != ShardPhase::HashPrefixes && Ctx.Shards != 0;
+  if (!Ctx.Pool || MaxUnits < 2 || NumRefs < Ctx.MinRefsToShard ||
+      (Forced && Ctx.Shards < 2))
+    return;
+  Helpers = Ctx.Budget ? Ctx.Budget->tryAcquire(Ctx.Pool->workerCount())
+                       : Ctx.Pool->workerCount();
+  Shards = static_cast<unsigned>(
+      std::min<uint64_t>(MaxUnits, Forced ? Ctx.Shards : Helpers + 1));
+  assert((Shards > 1 || Helpers == 0) && "a one-shard grant holds no slot");
+  if (Shards <= 1 || !Ctx.Stats)
+    return;
+  if (Phase == ShardPhase::L2Stage2)
+    Ctx.Stats->L2StageShardedSims.fetch_add(1, std::memory_order_relaxed);
+  if (Phase != ShardPhase::Simulation)
+    return;
+  Ctx.Stats->ShardedSims.fetch_add(1, std::memory_order_relaxed);
+  // Degraded mode: the shard count was forced but no helper showed up,
+  // so one thread replays every shard back to back.
+  if (Helpers == 0)
+    Ctx.Stats->UnhelpedShardedSims.fetch_add(1, std::memory_order_relaxed);
+}
+
+ShardGrant::~ShardGrant() {
+  if (Ctx.Budget && Helpers > 0)
+    Ctx.Budget->release(Helpers);
+}
+
+void ShardGrant::run(size_t Count,
+                     const std::function<void(size_t)> &Fn) const {
+  if (Ctx.Pool) {
+    Ctx.Pool->parallelFor(Count, Helpers, Fn);
+    return;
+  }
+  for (size_t I = 0; I < Count; ++I)
+    Fn(I);
 }

@@ -33,8 +33,10 @@
 /// aggregate collectors in pmu/PebsEvent.h). ShardCachePool recycles
 /// windowed Cache instances across configurations in O(1) so repeated
 /// sharded runs do not reallocate state planes. The trace-facing
-/// collectors that put the pieces together live in pmu/PebsEvent.h;
-/// the thread-budget policy lives with the batch runner
+/// collectors that put the pieces together live in pmu/PebsEvent.h.
+/// Every parallel phase — those collectors and the MRC passes of
+/// sim/MrcEngine — takes its threads through one ShardGrant, the
+/// sharding gate; the budget itself is owned by the batch runner
 /// (pipeline/JobRunner.h).
 ///
 //===----------------------------------------------------------------------===//
@@ -47,6 +49,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -138,8 +141,8 @@ struct ShardPartition {
   }
 };
 
-/// Routes every record of \p Records into its shard per \p Plan,
-/// sequentially (count pass + fill pass in the calling thread).
+/// Routes every record of \p Records into its shard per \p Plan in
+/// the calling thread: partitionBySetParallel with no helper.
 ShardPartition partitionBySet(std::span<const MemoryRecord> Records,
                               const CacheGeometry &Geometry,
                               std::span<const SetRange> Plan);
@@ -321,6 +324,63 @@ struct SimContext {
   uint64_t TraceId = 0;
 
   static constexpr uint64_t DefaultMinRefsToShard = 1 << 16;
+};
+
+/// What a ShardGrant splits, which decides how its shard count is
+/// chosen and which ShardExecStats counter it bumps.
+enum class ShardPhase {
+  /// A simulation split by set: honors SimContext::Shards and counts
+  /// in ShardedSims (and UnhelpedShardedSims without helpers).
+  Simulation,
+  /// The L2 collector's stage-2 replay: honors SimContext::Shards and
+  /// counts in L2StageShardedSims, so one collection stays one sim.
+  L2Stage2,
+  /// SHARDS hash-prefix sub-filters: one task per granted thread,
+  /// never more (an unhelped task would rescan the whole trace), and
+  /// not counted.
+  HashPrefixes,
+};
+
+/// The sharding gate, applied once per parallel phase and held for
+/// its duration. The budget hands out idle slots only: when batch jobs
+/// already cover the machine nothing is granted and the phase stays
+/// sequential; on the tail of a run the freed slots flow here.
+///
+/// The grant asks for every pool worker, not Shards - 1: routing, the
+/// bitmap union and event compaction parallelize past the shard
+/// count. An explicit SimContext::Shards is honored even without
+/// helpers (the caller's thread replays every shard); an automatic
+/// count follows the grant. A grant that comes to one shard holds no
+/// helper (a forced count of one never asks the budget; an automatic
+/// count is one only when nothing was granted), so its caller runs the
+/// sequential path and routes nothing. The destructor returns the
+/// slots.
+class ShardGrant {
+public:
+  /// Gates a phase over \p MaxUnits independent units (sets, or hash
+  /// prefixes) of a \p NumRefs-long stream: no pool, fewer than two
+  /// units or a stream under Ctx.MinRefsToShard stays sequential.
+  ShardGrant(const SimContext &Ctx, uint64_t MaxUnits, size_t NumRefs,
+             ShardPhase Phase = ShardPhase::Simulation);
+  ~ShardGrant();
+
+  ShardGrant(const ShardGrant &) = delete;
+  ShardGrant &operator=(const ShardGrant &) = delete;
+
+  /// Shards to cut; 1 means run sequentially.
+  unsigned shards() const { return Shards; }
+  bool sharded() const { return Shards > 1; }
+  /// Pool workers granted to help (0 whenever shards() == 1).
+  unsigned helpers() const { return Helpers; }
+
+  /// Runs \p Fn(0) .. \p Fn(Count-1) on the context's pool across the
+  /// granted helpers, or in the calling thread when there is no pool.
+  void run(size_t Count, const std::function<void(size_t)> &Fn) const;
+
+private:
+  const SimContext &Ctx;
+  unsigned Shards = 1;
+  unsigned Helpers = 0;
 };
 
 } // namespace ccprof

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iostream>
 #include <sstream>
 
 using namespace ccprof;
@@ -103,6 +104,22 @@ bool flags::parse(const std::vector<std::string> &Args,
       *Switch = true;
   }
   return true;
+}
+
+bool flags::parseCommandLine(int Argc, const char *const *Argv,
+                             std::string_view Program,
+                             const FlagTable &Table) {
+  std::vector<std::string> Positionals;
+  std::string Error;
+  if (parse({Argv + 1, Argv + Argc}, Table, Positionals, Error) &&
+      Positionals.empty())
+    return true;
+  std::cerr << "error: "
+            << (Error.empty() ? "unexpected argument '" + Positionals[0] + "'"
+                              : Error)
+            << "\nusage: " << Program << " [options]\n"
+            << usage(Table, 2);
+  return false;
 }
 
 std::string flags::helpEntry(std::string_view Term, std::string_view Text,

@@ -192,6 +192,13 @@ Parser<T> oneOf(std::vector<std::pair<std::string, T>> Choices) {
 bool parse(const std::vector<std::string> &Args, const FlagTable &Table,
            std::vector<std::string> &Positionals, std::string &Error);
 
+/// Parses the command line of a program that takes flags only:
+/// \p Argv[1..] must all match \p Table. On a parse error or a stray
+/// positional argument prints "error: <reason>" and the usage of
+/// \p Program to stderr and \returns false.
+bool parseCommandLine(int Argc, const char *const *Argv,
+                      std::string_view Program, const FlagTable &Table);
+
 /// One usage entry: \p Term at \p Indent, then \p Text word-wrapped in
 /// a column to its right (or starting on the next line when \p Term is
 /// too wide for the column).

@@ -25,6 +25,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "pipeline/JobRunner.h"
+#include "sim/MrcEngine.h"
 #include "sim/ReferenceCache.h"
 #include "sim/ShardedSim.h"
 #include "support/Rng.h"
@@ -377,6 +378,61 @@ TEST(CacheShardExactnessTest, ShortTracesStaySequential) {
   // short-circuit without touching pool or budget, and stay exact.
   EXPECT_EQ(collectL1MissStreamParallel(T, Geometry, Options, Ctx),
             Sequential);
+}
+
+TEST(CacheShardExactnessTest, OneShardGrantRoutesNothing) {
+  // An explicit --shards 1 with idle helpers: one shard is the whole
+  // set space, so routing it would only copy the trace. Every parallel
+  // entry point must hand its helpers back, run its sequential path
+  // and build no partition.
+  const CacheGeometry L1 = testGeometry();
+  const CacheGeometry L2(32 * 1024, 64, 4);
+  const Trace T = makeTrace(60'000);
+  MissStreamOptions Options;
+  Options.IncludeStores = true;
+
+  ThreadPool Pool(3);
+  ThreadBudget Budget(4);
+  ShardExecStats Stats;
+  SimContext Ctx;
+  Ctx.Pool = &Pool;
+  Ctx.Budget = &Budget;
+  Ctx.Stats = &Stats;
+  Ctx.Shards = 1;
+  Ctx.MinRefsToShard = 0;
+
+  EXPECT_EQ(collectL1MissStreamParallel(T, L1, Options, Ctx),
+            collectL1MissStream(T, L1, Options));
+  EXPECT_EQ(Stats.PartitionBuilds.load(), 0u) << "L1 ordered";
+  EXPECT_EQ(Budget.available(), 4u);
+
+  EXPECT_EQ(collectL1MissAggregates(T, L1, Options, Ctx),
+            collectL1MissAggregates(T, L1, Options));
+  EXPECT_EQ(Stats.PartitionBuilds.load(), 0u) << "aggregates";
+  EXPECT_EQ(Budget.available(), 4u);
+
+  PageMapper SeqMapper(PagePolicy::FirstTouch);
+  PageMapper ParMapper(PagePolicy::FirstTouch);
+  EXPECT_EQ(collectL2MissStreamParallel(T, L1, L2, ParMapper, Options, Ctx),
+            collectL2MissStream(T, L1, L2, SeqMapper, Options));
+  EXPECT_EQ(Stats.PartitionBuilds.load(), 0u) << "L2";
+  EXPECT_EQ(Budget.available(), 4u);
+
+  MrcOptions Exact;
+  Exact.Reference = L1;
+  const MissRatioCurve Sequential = MrcEngine::compute(T, Exact);
+  const MissRatioCurve Curve = MrcEngine::compute(T, Exact, Ctx);
+  EXPECT_EQ(Curve.ColdWeight, Sequential.ColdWeight);
+  EXPECT_EQ(Curve.PerSetCold, Sequential.PerSetCold);
+  EXPECT_EQ(Curve.StackDistances.cdfSeries(),
+            Sequential.StackDistances.cdfSeries());
+  EXPECT_EQ(Curve.PerSetDistances.cdfSeries(),
+            Sequential.PerSetDistances.cdfSeries());
+  EXPECT_EQ(Stats.PartitionBuilds.load(), 0u) << "exact MRC";
+  EXPECT_EQ(Budget.available(), 4u);
+
+  EXPECT_EQ(Stats.ShardedSims.load(), 0u);
+  EXPECT_EQ(Stats.L2StageShardedSims.load(), 0u);
 }
 
 TEST(CacheShardExactnessTest, BatchArtifactsAreByteIdenticalAcrossShapes) {

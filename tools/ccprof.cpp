@@ -499,16 +499,6 @@ int commandStaticAnalyze(const Positionals &Args, const CliOptions &Options) {
 // Batch pipeline commands
 //===----------------------------------------------------------------------===//
 
-/// The default geometry ladder `mrc` and `batch --mrc` sample when no
-/// --geoms/--mrc-geoms is given: an L1 size sweep around the paper's
-/// 32KiB/64B/8-way point.
-std::vector<CacheGeometry> defaultMrcSweep() {
-  std::vector<CacheGeometry> Sweep;
-  for (uint64_t KiB : {8, 16, 32, 64, 128})
-    Sweep.push_back(CacheGeometry(KiB * 1024, 64, 8));
-  return Sweep;
-}
-
 /// Writes \p Curve in the one schema `batch --mrc` curve files and
 /// `mrc --json` share: batch curves add routed_jobs, and `mrc --check`
 /// adds one note per point in \p Checks.
@@ -544,7 +534,7 @@ int commandBatch(const Positionals &Args, const CliOptions &Options) {
   BatchExecOptions Exec = Options.Exec;
   Exec.PartitionCacheBytes = Options.PartitionCacheMb << 20;
   if (Exec.Mrc && Exec.MrcSweep.empty())
-    Exec.MrcSweep = defaultMrcSweep();
+    Exec.MrcSweep = defaultMrcSweepGeometries();
 
   if (Selection == "all") {
     Matrix.Workloads = defaultBatchWorkloads();
@@ -892,26 +882,6 @@ int commandValidate(const Positionals &Paths, const CliOptions &Options) {
 int commandMrc(const Positionals &Args, const CliOptions &Options) {
   const std::string &Name = Args[0];
   const MrcOptions &Opts = Options.Curve;
-  std::vector<CacheGeometry> Geometries = Options.Geometries;
-  if (Geometries.empty())
-    Geometries = defaultMrcSweep();
-  // Always sample the reference geometry itself; sort + dedup so the
-  // output order is canonical no matter how --geoms was spelled.
-  Geometries.push_back(Opts.Reference);
-  auto Shape = [](const CacheGeometry &G) {
-    return std::tuple(G.sizeBytes(), G.lineBytes(), G.associativity());
-  };
-  std::sort(Geometries.begin(), Geometries.end(),
-            [&](const CacheGeometry &A, const CacheGeometry &B) {
-              return Shape(A) < Shape(B);
-            });
-  Geometries.erase(std::unique(Geometries.begin(), Geometries.end(),
-                               [&](const CacheGeometry &A,
-                                   const CacheGeometry &B) {
-                                 return Shape(A) == Shape(B);
-                               }),
-                   Geometries.end());
-
   std::unique_ptr<Workload> W = lookupWorkload(Name);
   if (!W)
     return 1;
@@ -934,17 +904,23 @@ int commandMrc(const Positionals &Args, const CliOptions &Options) {
     ExactOpts.Sampled = false;
     ExactCurve = MrcEngine::compute(T, ExactOpts);
   }
+  // Always sample the reference geometry itself; the readout sorts and
+  // dedups so the output order is canonical however --geoms was spelled.
+  std::vector<CacheGeometry> Geometries = Options.Geometries.empty()
+                                              ? defaultMrcSweepGeometries()
+                                              : Options.Geometries;
+  Geometries.push_back(Opts.Reference);
   size_t CheckFailures = 0;
-  MrcGroupCurve Result{W->name(),   Options.Variant, Curve.TotalRefs,
-                       Curve.Sampled, Curve.FinalRate, /*RoutedJobs=*/0, {}};
+  MrcGroupCurve Result{W->name(),     Options.Variant,
+                       Curve.TotalRefs, Curve.Sampled,
+                       Curve.FinalRate, /*RoutedJobs=*/0,
+                       readMrcPoints(Curve, std::move(Geometries))};
   std::vector<std::string> Checks;
-  for (const CacheGeometry &G : Geometries) {
-    MrcPoint &R = Result.Points.emplace_back(
-        MrcPoint{G, Curve.missRatioAt(G), Curve.isExactAt(G)});
-    if (Options.Check) {
+  if (Options.Check) {
+    for (const MrcPoint &R : Result.Points) {
       std::string &CheckNote = Checks.emplace_back();
       if (R.Exact) {
-        Cache Sim(G, ReplacementKind::Lru);
+        Cache Sim(R.Geometry, ReplacementKind::Lru);
         for (const MemoryRecord &Rec : T.records())
           Sim.access(Rec.Addr, Rec.IsWrite);
         const double Simulated = Sim.stats().missRatio();
@@ -959,7 +935,7 @@ int commandMrc(const Positionals &Args, const CliOptions &Options) {
         // binomial model, so the bound is against the exact histogram
         // read the same way — the per-set/model gap is the conflict
         // signal, not sampling error.
-        const double Exact = ExactCurve->modelMissRatioAt(G);
+        const double Exact = ExactCurve->modelMissRatioAt(R.Geometry);
         const double Err = std::fabs(Exact - R.MissRatio);
         if (Err > ShardsBound) {
           CheckNote = "FAIL exact=" + fmt::fixed(Exact, 6) + " err=" +
