@@ -14,8 +14,9 @@
 //     separately by tests/CacheSoaExactnessTest.cpp);
 //
 //  2. jobs/sec of a sampling-period-sweep batch — the paper-style
-//     evaluation matrix — with the shared-trace engine + miss-stream
-//     cache ON (runJobsShared) vs OFF (naive runJobs), verifying along
+//     evaluation matrix — with the shared-trace engine (one miss
+//     stream per configuration, runJobsShared) vs the naive runJobs
+//     (one simulation per job), verifying along
 //     the way that both paths produce byte-identical artifacts;
 //
 //  3. shard-count sweeps of the set-sharded parallel collector
@@ -534,9 +535,12 @@ int main(int Argc, char **Argv) {
   const double NaiveSecs = secondsSince(NaiveStart);
 
   SharedBatchStats Stats;
+  BatchExecOptions OneThread;
+  OneThread.Workers = 1;
+  OneThread.SimThreads = 1;
   Clock::time_point SharedStart = Clock::now();
   std::vector<JobOutcome> Shared =
-      runJobsShared(Jobs, 1, 0, nullptr, nullptr, &Stats);
+      runJobsShared(Jobs, OneThread, 0, nullptr, nullptr, &Stats);
   const double SharedSecs = secondsSince(SharedStart);
 
   size_t Failed = 0;

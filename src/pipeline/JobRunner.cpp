@@ -96,32 +96,14 @@ std::string ccprof::missStreamKeyOf(const JobSpec &Job) {
 }
 
 std::vector<JobOutcome> ccprof::runJobsShared(
-    std::span<const JobSpec> Jobs, unsigned NumThreads, uint64_t TimestampNs,
-    const std::function<void(const JobOutcome &, size_t)> &OnJobDone,
-    MissStreamCache *StreamCache, SharedBatchStats *StatsOut) {
-  BatchExecOptions Exec;
-  Exec.Workers = std::max(1u, NumThreads);
-  // Budget == worker count: sharding appears only when workers go idle
-  // (the tail of the group list), so legacy callers keep their exact
-  // thread ceiling.
-  Exec.SimThreads = Exec.Workers;
-  return runJobsShared(Jobs, Exec, TimestampNs, OnJobDone, StreamCache,
-                       StatsOut);
-}
-
-std::vector<JobOutcome> ccprof::runJobsShared(
     std::span<const JobSpec> Jobs, const BatchExecOptions &Exec,
     uint64_t TimestampNs,
     const std::function<void(const JobOutcome &, size_t)> &OnJobDone,
-    MissStreamCache *StreamCache, SharedBatchStats *StatsOut,
-    std::vector<MrcGroupCurve> *MrcOut) {
+    std::vector<MrcGroupCurve> *MrcOut, SharedBatchStats *StatsOut) {
   std::vector<JobOutcome> Outcomes(Jobs.size());
-  MissStreamCache LocalCache;
-  MissStreamCache &Cache = StreamCache ? *StreamCache : LocalCache;
   if (Jobs.empty()) {
     if (StatsOut)
-      *StatsOut =
-          SharedBatchStats{0, Cache.stats(), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0};
+      *StatsOut = SharedBatchStats{};
     return Outcomes;
   }
 
@@ -184,6 +166,8 @@ std::vector<JobOutcome> ccprof::runJobsShared(
   std::atomic<uint64_t> NumScreenRefusals{0};
   std::atomic<uint64_t> NumMrcGroups{0};
   std::atomic<uint64_t> NumMrcRouted{0};
+  std::atomic<uint64_t> NumStreamHits{0};
+  std::atomic<uint64_t> NumStreamMisses{0};
   // One slot per group, written only by the worker that owns the group;
   // compacted in group order afterwards so MrcOut is deterministic.
   std::vector<std::optional<MrcGroupCurve>> GroupCurves(
@@ -362,21 +346,27 @@ std::vector<JobOutcome> ccprof::runJobsShared(
         Simulated = Pending;
       }
 
+      // One miss stream per distinct cache configuration of the group:
+      // every period/sampler/threshold/repeat variant samples the same
+      // stream, and the map dies with the group's trace.
+      std::unordered_map<std::string, std::vector<MissEvent>> Streams;
       for (size_t I : Simulated) {
         const JobSpec &Job = Jobs[I];
         Profiler P(Job.toProfileOptions());
-        MissStreamCache::StreamPtr Stream = Cache.getOrCompute(
-            missStreamKeyOf(Job),
-            [&] { return P.collectMissStream(T, GroupSim); });
+        auto [Stream, Fresh] = Streams.try_emplace(missStreamKeyOf(Job));
+        if (Fresh)
+          Stream->second = P.collectMissStream(T, GroupSim);
 
         JobOutcome &Out = Outcomes[I];
         Out.Job = Job;
         Out.Artifact.Result =
-            P.profileWithStream(T, Structure, *Stream, Job.Exact);
+            P.profileWithStream(T, Structure, Stream->second, Job.Exact);
         Out.Artifact.Provenance.Job = Job;
         Out.Artifact.Provenance.TimestampNs = TimestampNs;
         FinishJob(I);
       }
+      NumStreamMisses.fetch_add(Streams.size());
+      NumStreamHits.fetch_add(Simulated.size() - Streams.size());
       // The group's trace dies with this iteration; its arenas index
       // into it by sequence number and must go with it.
       if (Partitions && GroupSim.TraceId != 0)
@@ -398,16 +388,21 @@ std::vector<JobOutcome> ccprof::runJobsShared(
       T.join();
   }
 
-  if (StatsOut)
-    *StatsOut = SharedBatchStats{Groups.size(), Cache.stats(),
-                                 CachePool.reuses(), NumSkipped.load(),
-                                 NumScreenedGroups.load(),
-                                 NumScreenRefusals.load(),
-                                 ShardStats.ShardedSims.load(),
-                                 ShardStats.UnhelpedShardedSims.load(),
-                                 NumMrcGroups.load(), NumMrcRouted.load(),
-                                 ShardStats.PartitionBuilds.load(),
-                                 ShardStats.PartitionReuses.load()};
+  if (StatsOut) {
+    *StatsOut = SharedBatchStats{};
+    StatsOut->TraceGroups = Groups.size();
+    StatsOut->Streams.Hits = NumStreamHits.load();
+    StatsOut->Streams.Misses = NumStreamMisses.load();
+    StatsOut->StaticSkipped = NumSkipped.load();
+    StatsOut->StaticScreenedGroups = NumScreenedGroups.load();
+    StatsOut->StaticScreenRefusals = NumScreenRefusals.load();
+    StatsOut->ShardedSims = ShardStats.ShardedSims.load();
+    StatsOut->UnhelpedShardedSims = ShardStats.UnhelpedShardedSims.load();
+    StatsOut->MrcGroups = NumMrcGroups.load();
+    StatsOut->MrcRoutedJobs = NumMrcRouted.load();
+    StatsOut->PartitionBuilds = ShardStats.PartitionBuilds.load();
+    StatsOut->PartitionReuses = ShardStats.PartitionReuses.load();
+  }
   if (MrcOut) {
     MrcOut->clear();
     for (std::optional<MrcGroupCurve> &Curve : GroupCurves)

@@ -14,15 +14,15 @@
 ///    so any thread count produces identical output.
 ///
 ///  * runJobsShared — the single-pass multi-configuration engine: jobs
-///    are grouped by (workload, variant), each group's trace is
-///    generated and canonicalized once, the miss-event stream is
-///    computed once per distinct cache configuration (level, geometry,
-///    replacement policy, page mapping) through a bounded
-///    MissStreamCache, and all sampling-period / sampler / threshold /
-///    repeat variants fan out over the cached stream. Output is
-///    byte-identical to runJobs: the profiler runs the exact same
-///    collect-then-sample phases, just without recomputing the collect
-///    phase per job.
+///    are grouped by (workload, variant) and one worker owns each
+///    group. The group's trace is generated and canonicalized once, its
+///    miss-event stream is computed once per distinct cache
+///    configuration (level, geometry, replacement policy, page mapping)
+///    into a group-local map that dies with the group, and all
+///    sampling-period / sampler / threshold / repeat variants fan out
+///    over that stream. Output is byte-identical to runJobs: the
+///    profiler runs the exact same collect-then-sample phases, just
+///    without recomputing the collect phase per job.
 ///
 /// Results land in the slot of their job index, so the output vector is
 /// identical no matter how many threads ran or how the scheduler
@@ -35,7 +35,6 @@
 #ifndef CCPROF_PIPELINE_JOBRUNNER_H
 #define CCPROF_PIPELINE_JOBRUNNER_H
 
-#include "pipeline/MissStreamCache.h"
 #include "pipeline/ProfileArtifact.h"
 #include "sim/MrcEngine.h"
 #include "sim/PartitionCache.h"
@@ -88,11 +87,14 @@ struct SharedBatchStats {
   /// Distinct (workload, variant) groups, i.e. traces generated. The
   /// naive path generates one trace per *job* instead.
   uint64_t TraceGroups = 0;
-  /// Miss-stream cache accounting: Misses counts full trace
-  /// simulations, Hits counts simulations avoided.
-  MissStreamCacheStats Streams;
-  /// Windowed shard caches recycled instead of reallocated.
-  uint64_t ShardCacheReuses = 0;
+  /// Miss-stream accounting: Misses counts full trace simulations (one
+  /// per distinct stream key of a group), Hits counts simulations
+  /// avoided by jobs that sampled an already-computed stream.
+  struct StreamCounts {
+    uint64_t Hits = 0;
+    uint64_t Misses = 0;
+  };
+  StreamCounts Streams;
   /// Jobs skipped by static screening (BatchExecOptions::StaticScreen).
   uint64_t StaticSkipped = 0;
   /// Groups every member of which was screened out — no trace was
@@ -216,7 +218,7 @@ struct BatchExecOptions {
   size_t PartitionCacheBytes = PartitionCache::DefaultMaxBytes;
 };
 
-/// The miss-stream cache key of \p Job: every field the simulated
+/// The miss-stream key of \p Job: every field the simulated
 /// stream depends on — workload, variant, level, geometries, policy,
 /// store handling, and (for physically-indexed levels) the page
 /// mapping — and nothing it does not, so period/threshold/seed/repeat
@@ -228,9 +230,7 @@ std::string missStreamKeyOf(const JobSpec &Job);
 /// still scales across workloads while each group's trace is built
 /// exactly once, and each group's miss-stream simulations additionally
 /// fan out across set shards whenever the shared thread budget has
-/// idle slots. \p StreamCache bounds how many distinct miss streams
-/// stay resident; pass nullptr to use a run-local cache of default
-/// capacity. Outcomes are byte-identical to runJobs on the same job
+/// idle slots. Outcomes are byte-identical to runJobs on the same job
 /// list at every Workers / SimThreads / Shards combination.
 /// \p MrcOut receives one MrcGroupCurve per group that ran an MRC pass
 /// (group order, hence deterministic); ignored unless Exec.Mrc.
@@ -238,16 +238,8 @@ std::vector<JobOutcome> runJobsShared(
     std::span<const JobSpec> Jobs, const BatchExecOptions &Exec,
     uint64_t TimestampNs = 0,
     const std::function<void(const JobOutcome &, size_t)> &OnJobDone = nullptr,
-    MissStreamCache *StreamCache = nullptr, SharedBatchStats *StatsOut = nullptr,
-    std::vector<MrcGroupCurve> *MrcOut = nullptr);
-
-/// Back-compat shape: \p NumThreads batch workers with a thread budget
-/// equal to NumThreads (shard helpers only appear when workers idle).
-std::vector<JobOutcome> runJobsShared(
-    std::span<const JobSpec> Jobs, unsigned NumThreads,
-    uint64_t TimestampNs = 0,
-    const std::function<void(const JobOutcome &, size_t)> &OnJobDone = nullptr,
-    MissStreamCache *StreamCache = nullptr, SharedBatchStats *StatsOut = nullptr);
+    std::vector<MrcGroupCurve> *MrcOut = nullptr,
+    SharedBatchStats *StatsOut = nullptr);
 
 } // namespace ccprof
 

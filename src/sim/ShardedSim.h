@@ -298,8 +298,8 @@ struct ShardExecStats {
 
 /// Everything a miss-stream collector needs to go parallel. A
 /// default-constructed context (null pool) means "stay sequential";
-/// the batch runner owns one context per run and threads it through
-/// MissStreamCache compute callbacks.
+/// the batch runner owns one context per run and hands each group a
+/// copy for its miss-stream collections.
 struct SimContext {
   /// Workers that may help simulate shards; null disables sharding.
   ThreadPool *Pool = nullptr;

@@ -446,9 +446,13 @@ TEST(CacheShardExactnessTest, BatchArtifactsAreByteIdenticalAcrossShapes) {
   // Ground truth: the naive engine, one full simulation per job.
   const std::string Naive = serializeAll(runJobs(Jobs, 1));
 
-  // Legacy shared-trace entry point, sequential and threaded.
-  EXPECT_EQ(serializeAll(runJobsShared(Jobs, 1u)), Naive);
-  EXPECT_EQ(serializeAll(runJobsShared(Jobs, 2u)), Naive);
+  // Budget == worker count, sequential and threaded.
+  for (unsigned N : {1u, 2u}) {
+    BatchExecOptions Exec;
+    Exec.Workers = N;
+    Exec.SimThreads = N;
+    EXPECT_EQ(serializeAll(runJobsShared(Jobs, Exec)), Naive);
+  }
 
   // The sharded engine at several execution shapes, forcing sharding
   // on every simulation (MinRefsToShard = 0).

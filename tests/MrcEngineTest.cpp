@@ -339,7 +339,7 @@ TEST(MrcEngineTest, BatchMrcRoutesL1LruJobsThroughOneCurve) {
   SharedBatchStats Stats;
   std::vector<MrcGroupCurve> Curves;
   const std::vector<JobOutcome> Outcomes =
-      runJobsShared(Jobs, Exec, 0, nullptr, nullptr, &Stats, &Curves);
+      runJobsShared(Jobs, Exec, 0, nullptr, &Curves, &Stats);
 
   size_t Predicted = 0, Simulated = 0;
   for (const JobOutcome &Outcome : Outcomes) {
@@ -392,7 +392,7 @@ TEST(MrcEngineTest, BatchMrcLeavesSimulatedJobsByteIdentical) {
   Mrc.Mrc = true;
   std::vector<MrcGroupCurve> Curves;
   const std::vector<JobOutcome> Routed =
-      runJobsShared(Jobs, Mrc, 0, nullptr, nullptr, nullptr, &Curves);
+      runJobsShared(Jobs, Mrc, 0, nullptr, &Curves);
 
   ASSERT_EQ(Baseline.size(), Routed.size());
   for (size_t I = 0; I < Jobs.size(); ++I) {

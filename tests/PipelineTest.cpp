@@ -15,20 +15,16 @@
 #include "pipeline/Diff.h"
 #include "pipeline/JobRunner.h"
 #include "pipeline/Merge.h"
-#include "pipeline/MissStreamCache.h"
 #include "trace/Canonicalize.h"
 #include "workloads/Workload.h"
 
 #include "gtest/gtest.h"
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
-#include <latch>
 #include <memory>
 #include <set>
 #include <sstream>
-#include <thread>
 
 using namespace ccprof;
 
@@ -38,6 +34,15 @@ std::string serialize(const ProfileArtifact &Artifact) {
   std::stringstream Stream;
   EXPECT_TRUE(Artifact.writeTo(Stream));
   return Stream.str();
+}
+
+/// \p N batch workers on a budget of N threads: set-shard helpers only
+/// appear once workers run out of groups.
+BatchExecOptions sharedExec(unsigned N) {
+  BatchExecOptions Exec;
+  Exec.Workers = N;
+  Exec.SimThreads = N;
+  return Exec;
 }
 
 JobSpec symmetrizationJob() {
@@ -413,7 +418,7 @@ TEST(SharedTraceTest, OutputIsByteIdenticalToNaivePath) {
   std::vector<JobOutcome> Naive = runJobs(Jobs, 1);
   SharedBatchStats Stats;
   std::vector<JobOutcome> Shared =
-      runJobsShared(Jobs, 4, 0, nullptr, nullptr, &Stats);
+      runJobsShared(Jobs, sharedExec(4), 0, nullptr, nullptr, &Stats);
 
   ASSERT_EQ(Naive.size(), Shared.size());
   for (size_t I = 0; I < Naive.size(); ++I) {
@@ -429,7 +434,6 @@ TEST(SharedTraceTest, OutputIsByteIdenticalToNaivePath) {
   EXPECT_EQ(Stats.TraceGroups, 1u);
   EXPECT_EQ(Stats.Streams.Misses, 2u);
   EXPECT_EQ(Stats.Streams.Hits, 10u);
-  EXPECT_EQ(Stats.Streams.Evictions, 0u);
 }
 
 TEST(SharedTraceTest, ExactJobsShareStreamsWithSampledJobs) {
@@ -443,7 +447,7 @@ TEST(SharedTraceTest, ExactJobsShareStreamsWithSampledJobs) {
   std::vector<JobSpec> Jobs = {Sampled, Exact};
   SharedBatchStats Stats;
   std::vector<JobOutcome> Shared =
-      runJobsShared(Jobs, 1, 0, nullptr, nullptr, &Stats);
+      runJobsShared(Jobs, sharedExec(1), 0, nullptr, nullptr, &Stats);
   EXPECT_EQ(Stats.Streams.Misses, 1u);
   EXPECT_EQ(Stats.Streams.Hits, 1u);
 
@@ -487,82 +491,43 @@ TEST(SharedTraceTest, StreamKeysSeparateWhatMustNotBeShared) {
   EXPECT_NE(missStreamKeyOf(L2First), missStreamKeyOf(L2Shuffled));
 }
 
-TEST(MissStreamCacheTest, CountsHitsPerEntryAndEvictsLeastRecent) {
-  MissStreamCache Cache(2);
-  uint64_t Computes = 0;
-  auto Stream = [&](size_t Len) {
-    return [&Computes, Len] {
-      ++Computes;
-      return std::vector<MissEvent>(Len);
-    };
-  };
+TEST(SharedTraceTest, InterleavedKeysAcrossGroupsSimulateEachStreamOnce) {
+  // Four (workload, variant) groups listed interleaved, with the L1 and
+  // L2 keys of each group alternating: every distinct stream key must
+  // be simulated exactly once and every other job must sample a stream
+  // its own group already computed, on four workers.
+  std::vector<JobSpec> Jobs;
+  std::set<std::string> Keys;
+  for (uint64_t Period : {171u, 606u})
+    for (ProfileLevel Level : {ProfileLevel::L1, ProfileLevel::L2})
+      for (const char *Name : {"Symmetrization", "NW"})
+        for (WorkloadVariant Variant :
+             {WorkloadVariant::Original, WorkloadVariant::Optimized}) {
+          JobSpec Job;
+          Job.WorkloadName = Name;
+          Job.Variant = Variant;
+          Job.Level = Level;
+          Job.MeanPeriod = Period;
+          Jobs.push_back(Job);
+          Keys.insert(missStreamKeyOf(Job));
+        }
+  ASSERT_EQ(Jobs.size(), 16u);
+  ASSERT_EQ(Keys.size(), 8u);
 
-  EXPECT_EQ(Cache.getOrCompute("a", Stream(3))->size(), 3u);
-  EXPECT_EQ(Cache.getOrCompute("b", Stream(5))->size(), 5u);
-  EXPECT_EQ(Cache.getOrCompute("a", Stream(3))->size(), 3u); // hit, a is MRU
-  EXPECT_EQ(Computes, 2u);
+  SharedBatchStats Stats;
+  std::vector<JobOutcome> Shared =
+      runJobsShared(Jobs, sharedExec(4), 0, nullptr, nullptr, &Stats);
+  EXPECT_EQ(Stats.TraceGroups, 4u);
+  EXPECT_EQ(Stats.Streams.Misses, Keys.size());
+  EXPECT_EQ(Stats.Streams.Hits, Jobs.size() - Keys.size());
 
-  // Third key evicts "b" (least recent), not "a".
-  EXPECT_EQ(Cache.getOrCompute("c", Stream(7))->size(), 7u);
-  EXPECT_EQ(Cache.size(), 2u);
-  Cache.getOrCompute("b", Stream(5));
-  EXPECT_EQ(Computes, 4u) << "evicted entry must be recomputed";
-
-  MissStreamCacheStats Stats = Cache.stats();
-  EXPECT_EQ(Stats.Hits, 1u);
-  EXPECT_EQ(Stats.Misses, 4u);
-  EXPECT_EQ(Stats.Evictions, 2u); // b evicted by c, then a evicted by b
-  ASSERT_EQ(Stats.Entries.size(), 3u);
-  EXPECT_EQ(Stats.Entries[0].Key, "a");
-  EXPECT_EQ(Stats.Entries[0].Hits, 1u);
-  EXPECT_EQ(Stats.Entries[0].Events, 3u);
-  EXPECT_FALSE(Stats.Entries[0].Resident);
-  EXPECT_TRUE(Stats.Entries[1].Resident); // b, re-inserted
-  EXPECT_TRUE(Stats.Entries[2].Resident); // c
-}
-
-TEST(MissStreamCacheTest, EvictedStreamsSurviveWhileHeld) {
-  MissStreamCache Cache(1);
-  MissStreamCache::StreamPtr Held =
-      Cache.getOrCompute("a", [] { return std::vector<MissEvent>(9); });
-  Cache.getOrCompute("b", [] { return std::vector<MissEvent>(1); });
-  EXPECT_EQ(Cache.size(), 1u);
-  EXPECT_EQ(Held->size(), 9u) << "held stream must outlive its eviction";
-}
-
-TEST(MissStreamCacheTest, RacingComputeCountsLoserAsHit) {
-  // Two threads demand the same key and are forced into the compute
-  // callback simultaneously, so both run it (the documented duplicate
-  // compute). Exactly one stream may be stored and counted as a miss;
-  // the loser's lookup is served from the cache and must be a hit —
-  // the regression was counting both as misses, overstating simulated
-  // streams under contention.
-  MissStreamCache Cache(4);
-  std::latch BothComputing(2);
-  std::atomic<unsigned> Computes{0};
-  auto Compute = [&] {
-    BothComputing.arrive_and_wait();
-    ++Computes;
-    return std::vector<MissEvent>(6);
-  };
-
-  MissStreamCache::StreamPtr A, B;
-  std::thread First([&] { A = Cache.getOrCompute("k", Compute); });
-  std::thread Second([&] { B = Cache.getOrCompute("k", Compute); });
-  First.join();
-  Second.join();
-
-  EXPECT_EQ(Computes.load(), 2u) << "latch must force the duplicate compute";
-  EXPECT_EQ(A.get(), B.get()) << "racing callers must share one stored copy";
-  ASSERT_TRUE(A);
-  EXPECT_EQ(A->size(), 6u);
-
-  MissStreamCacheStats Stats = Cache.stats();
-  EXPECT_EQ(Stats.Misses, 1u) << "one stream stored, one miss";
-  EXPECT_EQ(Stats.Hits, 1u) << "the losing lookup is a cache hit";
-  ASSERT_EQ(Stats.Entries.size(), 1u);
-  EXPECT_EQ(Stats.Entries[0].Hits, 1u);
-  EXPECT_EQ(Stats.Entries[0].Events, 6u);
+  std::vector<JobOutcome> Naive = runJobs(Jobs, 1);
+  ASSERT_EQ(Naive.size(), Shared.size());
+  for (size_t I = 0; I < Jobs.size(); ++I) {
+    ASSERT_TRUE(Shared[I].ok()) << Shared[I].Error;
+    EXPECT_EQ(serialize(Naive[I].Artifact), serialize(Shared[I].Artifact))
+        << "job " << Jobs[I].key();
+  }
 }
 
 //===----------------------------------------------------------------------===//

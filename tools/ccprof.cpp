@@ -74,7 +74,6 @@ struct CliOptions {
   BatchExecOptions Exec;
   std::string OutDir = "ccprof-artifacts";
   bool Stamp = false;
-  size_t StreamCacheEntries = MissStreamCache::DefaultMaxEntries;
   size_t PartitionCacheMb = PartitionCache::DefaultMaxBytes >> 20;
 
   // mrc
@@ -586,9 +585,8 @@ int commandBatch(const Positionals &Args, const CliOptions &Options) {
   size_t Failures = 0;
   SharedBatchStats Shared;
   std::vector<MrcGroupCurve> Curves;
-  MissStreamCache StreamCache(Options.StreamCacheEntries);
-  const std::vector<JobOutcome> Outcomes = runJobsShared(
-      Jobs, Exec, Timestamp, Progress, &StreamCache, &Shared, &Curves);
+  const std::vector<JobOutcome> Outcomes =
+      runJobsShared(Jobs, Exec, Timestamp, Progress, &Curves, &Shared);
 
   // Persist sequentially in job order: output listing and directory
   // contents are deterministic regardless of completion order.
@@ -631,13 +629,9 @@ int commandBatch(const Positionals &Args, const CliOptions &Options) {
     }
   }
 
-  const MissStreamCacheStats &S = Shared.Streams;
   std::cout << "batch: " << Shared.TraceGroups << " trace group(s); "
-            << "miss-stream cache: " << S.Hits << " hit(s), " << S.Misses
-            << " simulation(s), " << S.Evictions << " eviction(s)";
-  if (Shared.ShardCacheReuses)
-    std::cout << "; shard caches reused " << Shared.ShardCacheReuses
-              << " time(s)";
+            << "miss-stream cache: " << Shared.Streams.Hits << " hit(s), "
+            << Shared.Streams.Misses << " simulation(s)";
   if (Shared.ShardedSims) {
     std::cout << "; " << Shared.ShardedSims << " sharded sim(s)";
     // An explicit --shards on an exhausted budget still shards, but
@@ -660,13 +654,6 @@ int commandBatch(const Positionals &Args, const CliOptions &Options) {
     std::cout << "; mrc: " << Shared.MrcGroups << " curve(s) answered "
               << Shared.MrcRoutedJobs << " job(s) in one pass";
   std::cout << '\n';
-  if (!S.Entries.empty()) {
-    TextTable Streams({"stream", "hits", "events", "resident"});
-    for (const MissStreamCacheEntryStats &E : S.Entries)
-      Streams.addRow({E.Key, std::to_string(E.Hits),
-                      std::to_string(E.Events), E.Resident ? "yes" : "no"});
-    std::cout << Streams.render();
-  }
 
   std::cout << "batch: wrote "
             << (Outcomes.size() - Failures - Skipped - Predicted)
@@ -1202,9 +1189,6 @@ FlagTable batchFlags(CliOptions &O) {
                     O.Matrix.Exact),
       flags::toggle("--stamp", "record wall-clock provenance timestamps",
                     O.Stamp),
-      flags::value("--stream-cache", "N",
-                   "max resident miss streams (default 16)",
-                   O.StreamCacheEntries, flags::unsignedIn<size_t>()),
       flags::value("--sim-threads", "N",
                    "total thread budget shared by workers and set-shard "
                    "helpers (default: hardware cores; output is "
