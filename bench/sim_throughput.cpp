@@ -566,10 +566,10 @@ int main(int Argc, char **Argv) {
     NaiveWall << std::fixed << NaiveSecs;
     SharedWall.precision(3);
     SharedWall << std::fixed << SharedSecs;
-    BatchTable.addRow({"naive (miss-stream cache off)",
+    BatchTable.addRow({"naive (one simulation per job)",
                        std::to_string(Jobs.size()), NaiveWall.str(),
                        fmtRate(NaiveRate), "1.00x", "-"});
-    BatchTable.addRow({"shared-trace (cache on)", std::to_string(Jobs.size()),
+    BatchTable.addRow({"shared-trace (streams)", std::to_string(Jobs.size()),
                        SharedWall.str(), fmtRate(SharedRate),
                        fmtX(BatchSpeedup), Identical ? "yes" : "NO"});
     std::cout << BatchTable.render() << "(" << Jobs.size()

@@ -9,11 +9,11 @@
 //
 //  1. prediction accuracy — for every case-study workload (both
 //     variants) the analytically predicted program and per-loop
-//     miss-ratio curves are compared against exact MrcEngine curves of
-//     the traced run, point by point over the default sweep plus an L2
-//     point. Per-loop exact curves come from the same global
-//     stack-distance pass the quantitative consistency checker uses
-//     (ConsistencyChecker::measuredCurvesFromTrace), so both sides
+//     miss-ratio curves are compared against exact curves of the
+//     traced run, point by point over the default sweep plus an L2
+//     point. Program and per-loop curves come from the one exact
+//     global stack-distance pass the quantitative consistency checker
+//     uses (ConsistencyChecker::measuredCurvesFromTrace), so both sides
 //     share interleaving semantics and the Hill–Smith readout;
 //
 //  2. sweep screening payoff — a multi-period L1 config sweep over the
@@ -31,7 +31,6 @@
 #include "analysis/ConsistencyChecker.h"
 #include "analysis/StaticConflictAnalyzer.h"
 #include "pipeline/JobRunner.h"
-#include "sim/MrcEngine.h"
 #include "support/Flags.h"
 #include "support/Table.h"
 #include "trace/Canonicalize.h"
@@ -124,20 +123,20 @@ int main(int Argc, char **Argv) {
         return 1;
       }
 
-      // Ground truth: exact program curve via MrcEngine, per-loop
-      // curves via the shared global stack-distance attribution.
+      // Ground truth: the exact program curve and its per-loop
+      // attribution, from one global stack-distance pass.
       Trace Recorded;
       W->run(Variant, &Recorded);
       const Trace T = canonicalizeTrace(Recorded);
-      const MissRatioCurve Exact = MrcEngine::compute(T, MrcOptions{});
       const MeasuredCurves Curves =
           ConsistencyChecker::measuredCurvesFromTrace(
               T, &Structure, AnalyzerOpts.Geometry);
 
       double ProgramSum = 0.0;
       for (const PredictedMrcPoint &Point : Static.ProgramMrc) {
-        const double Error = std::abs(
-            Point.MissRatio - Exact.modelMissRatioAt(Point.Geometry));
+        const double Error =
+            std::abs(Point.MissRatio -
+                     Curves.Program.modelMissRatioAt(Point.Geometry));
         Row.ProgramMaxError = std::max(Row.ProgramMaxError, Error);
         ProgramSum += Error;
       }

@@ -20,7 +20,7 @@
 #include "core/Report.h"
 #include "support/Table.h"
 #include "sim/MissClassifier.h"
-#include "sim/ReuseDistance.h"
+#include "sim/MrcEngine.h"
 #include "workloads/Workload.h"
 
 #include <fstream>
@@ -63,11 +63,10 @@ int main(int Argc, char **Argv) {
   // Three-C breakdown on the paper's L1 geometry (ground truth the
   // measurement pipeline never sees on real hardware).
   MissClassifier Classifier(paperL1Geometry());
-  ReuseDistanceAnalyzer Reuse;
-  for (const MemoryRecord &Record : Loaded.records()) {
+  for (const MemoryRecord &Record : Loaded.records())
     Classifier.access(Record.Addr, Record.IsWrite);
-    Reuse.access(paperL1Geometry().lineAddrOf(Record.Addr));
-  }
+  const MissRatioCurve Reuse =
+      MrcEngine::computeBySite(Loaded, paperL1Geometry(), {}).Program;
   const MissBreakdown &Misses = Classifier.breakdown();
   std::cout << "three-C breakdown (32KiB 8-way L1):\n"
             << "  hits      " << Misses.Hits << '\n'
@@ -77,10 +76,10 @@ int main(int Argc, char **Argv) {
             << fmt::percent(Misses.conflictShare())
             << " of all misses)\n\n";
   std::cout << "reuse distances: median "
-            << (Reuse.distances().empty()
+            << (Reuse.StackDistances.empty()
                     ? 0
-                    : Reuse.distances().quantile(0.5))
-            << " lines, cold lines " << Reuse.coldCount() << "\n\n";
+                    : Reuse.StackDistances.quantile(0.5))
+            << " lines, cold lines " << Reuse.ColdWeight << "\n\n";
 
   // The CCProf measurement view of the same trace.
   BinaryImage Binary = App->makeBinary();

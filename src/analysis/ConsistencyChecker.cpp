@@ -7,11 +7,11 @@
 
 #include "analysis/ConsistencyChecker.h"
 
-#include "sim/ReuseDistance.h"
 #include "trace/Trace.h"
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
 
 using namespace ccprof;
@@ -116,11 +116,13 @@ MrcScore scoreMrc(const std::vector<PredictedMrcPoint> &Predicted,
 MeasuredCurves ConsistencyChecker::measuredCurvesFromTrace(
     const Trace &T, const ProgramStructure *Structure,
     const CacheGeometry &Reference) {
-  MeasuredCurves Curves;
-
   // Resolve every site to its loop location once, the same way
-  // measured samples are attributed.
-  std::vector<std::string> LocationOf(T.sites().size() + 1);
+  // measured samples are attributed. Each distinct location is one
+  // bucket of the exact pass; bucket 0 ("") holds the references whose
+  // site the registry cannot resolve.
+  std::vector<std::string> Locations = {std::string()};
+  std::map<std::string, uint32_t> BucketOfLocation = {{std::string(), 0}};
+  std::vector<uint32_t> BucketOf(T.sites().size() + 1, 0);
   for (SiteId Id = 1; Id <= T.sites().size(); ++Id) {
     const SourceSite *Site = T.sites().lookup(Id);
     if (!Site)
@@ -134,43 +136,20 @@ MeasuredCurves ConsistencyChecker::measuredCurvesFromTrace(
     }
     if (Location.empty())
       Location = Site->File + ":" + std::to_string(Site->Line);
-    LocationOf[Id] = std::move(Location);
+    const auto [It, Inserted] =
+        BucketOfLocation.try_emplace(Location, Locations.size());
+    if (Inserted)
+      Locations.push_back(std::move(Location));
+    BucketOf[Id] = It->second;
   }
 
-  // One global stack-distance pass; per-reference distances attributed
-  // to the loop of the reference's site. Global semantics match the
-  // static estimator's interleaved footprint accounting.
-  struct LoopAccum {
-    Histogram Stack;
-    uint64_t Cold = 0;
-    uint64_t Total = 0;
-  };
-  std::map<std::string, LoopAccum> PerLoop;
-  ReuseDistanceAnalyzer Global;
-  for (const MemoryRecord &R : T.records()) {
-    const uint64_t Distance = Global.access(Reference.lineAddrOf(R.Addr));
-    LoopAccum &Accum =
-        PerLoop[R.Site < LocationOf.size() ? LocationOf[R.Site]
-                                           : std::string()];
-    ++Accum.Total;
-    if (Distance == ReuseDistanceAnalyzer::Infinite)
-      ++Accum.Cold;
-    else
-      Accum.Stack.add(Distance);
-  }
-
-  Curves.Program.Reference = Reference;
-  Curves.Program.TotalRefs = T.size();
-  Curves.Program.ColdWeight = Global.coldCount();
-  Curves.Program.StackDistances = Global.distances();
-  for (auto &[Location, Accum] : PerLoop) {
-    MissRatioCurve Curve;
-    Curve.Reference = Reference;
-    Curve.TotalRefs = Accum.Total;
-    Curve.ColdWeight = Accum.Cold;
-    Curve.StackDistances = std::move(Accum.Stack);
-    Curves.PerLoop.emplace(Location, std::move(Curve));
-  }
+  AttributedCurves Pass = MrcEngine::computeBySite(T, Reference, BucketOf);
+  MeasuredCurves Curves;
+  Curves.Program = std::move(Pass.Program);
+  for (size_t Bucket = 0; Bucket < Locations.size(); ++Bucket)
+    if (Pass.Buckets[Bucket].TotalRefs > 0)
+      Curves.PerLoop.emplace(Locations[Bucket],
+                             std::move(Pass.Buckets[Bucket]));
   return Curves;
 }
 

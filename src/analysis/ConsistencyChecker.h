@@ -25,6 +25,11 @@
 /// disagrees with ground truth under exact placement is a bug in the
 /// model, not a modeling limitation.
 ///
+/// The quantitative check scores predicted miss-ratio curves against
+/// measured ones. The checker walks no stack itself: it maps each site
+/// to its loop and lets MrcEngine's exact pass file every reference's
+/// distance under that loop (measuredCurvesFromTrace).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CCPROF_ANALYSIS_CONSISTENCYCHECKER_H
@@ -92,10 +97,11 @@ struct LoopConsistency {
 /// the whole-program curve plus per-loop curves keyed by the same
 /// "file:headerLine" locations static and measured reports use. All
 /// curves share *global* stack-distance semantics — per-loop entries
-/// are the global analyzer's distances attributed to the loop of each
+/// are the exact pass's global distances filed under the loop of each
 /// reference, matching how the static estimator interleaves co-phased
 /// descriptors — so predicted and measured histograms are directly
-/// comparable. Build with ConsistencyChecker::measuredCurvesFromTrace.
+/// comparable, and the per-loop curves sum to the program curve. Build
+/// with ConsistencyChecker::measuredCurvesFromTrace.
 struct MeasuredCurves {
   MissRatioCurve Program;
   std::map<std::string, MissRatioCurve> PerLoop;
@@ -174,11 +180,12 @@ public:
                           const ProfileResult &Measured,
                           const MeasuredCurves *Curves) const;
 
-  /// Builds MeasuredCurves from a canonicalized trace: one global
-  /// stack-distance pass (lines of \p Reference's line size) whose
-  /// per-reference distances are attributed to the innermost loop of
-  /// the reference's site — resolved through \p Structure exactly like
-  /// measured samples, "file:line" of the site when absent.
+  /// Builds MeasuredCurves from a canonicalized trace: one exact
+  /// global pass (MrcEngine::computeBySite, lines of \p Reference's
+  /// line size) filing each reference under the innermost loop of its
+  /// site — resolved through \p Structure exactly like measured
+  /// samples, "file:line" of the site when absent. References of
+  /// unresolvable sites share the "" entry.
   static MeasuredCurves
   measuredCurvesFromTrace(const Trace &T, const ProgramStructure *Structure,
                           const CacheGeometry &Reference);

@@ -147,9 +147,7 @@ std::vector<JobOutcome> ccprof::runJobsShared(
   // Route-once partition reuse: one cache for the whole run; each
   // group registers a trace identity so the sweep over its configs
   // shares arenas, and releases it when the group's trace dies.
-  std::optional<PartitionCache> Partitions;
-  if (Exec.PartitionReuse)
-    Partitions.emplace(Exec.PartitionCacheBytes);
+  PartitionCache Partitions(Exec.PartitionCacheBytes);
   SimContext Sim;
   Sim.Pool = ShardPool ? &*ShardPool : nullptr;
   Sim.Budget = &Budget;
@@ -157,7 +155,7 @@ std::vector<JobOutcome> ccprof::runJobsShared(
   Sim.Stats = &ShardStats;
   Sim.Shards = Exec.Shards;
   Sim.MinRefsToShard = Exec.MinRefsToShard;
-  Sim.Partitions = Partitions ? &*Partitions : nullptr;
+  Sim.Partitions = &Partitions;
 
   std::atomic<size_t> NextGroup{0};
   std::atomic<size_t> NumDone{0};
@@ -295,10 +293,7 @@ std::vector<JobOutcome> ccprof::runJobsShared(
       // partition cache under one key family, and the entries die with
       // the trace at the end of the group.
       SimContext GroupSim = Sim;
-      if (Partitions) {
-        GroupSim.Partitions = &*Partitions;
-        GroupSim.TraceId = Partitions->registerTrace();
-      }
+      GroupSim.TraceId = Partitions.registerTrace();
 
       // MRC routing: one stack-distance pass answers every L1 LRU job
       // of the group at once; only the rest still simulates. The
@@ -369,8 +364,7 @@ std::vector<JobOutcome> ccprof::runJobsShared(
       NumStreamHits.fetch_add(Simulated.size() - Streams.size());
       // The group's trace dies with this iteration; its arenas index
       // into it by sequence number and must go with it.
-      if (Partitions && GroupSim.TraceId != 0)
-        Partitions->releaseTrace(GroupSim.TraceId);
+      Partitions.releaseTrace(GroupSim.TraceId);
     }
     // Hand the slot back so in-flight simulations on other workers can
     // fan out over the freed capacity (the run-tail sharding window).

@@ -206,15 +206,12 @@ struct BatchExecOptions {
   /// Extra geometries every group curve is sampled at, beyond the
   /// distinct L1 geometries of the routed jobs themselves.
   std::vector<CacheGeometry> MrcSweep;
-  /// Route once, replay many: retain each group's shard-partition
-  /// arenas in a PartitionCache so every configuration sharing an
+  /// Byte budget of the route-once partition cache (most-recent entry
+  /// always kept; see PartitionCache). Each group's shard-partition
+  /// arenas are retained there, so every configuration sharing an
   /// index geometry (set count x line size) — ways/policy/store
   /// variants, MRC passes at the reference geometry — routes the trace
-  /// exactly once. Artifacts are byte-identical either way; this only
-  /// skips redundant routing work.
-  bool PartitionReuse = true;
-  /// Byte budget of the partition cache (most-recent entry always
-  /// kept; see PartitionCache).
+  /// exactly once.
   size_t PartitionCacheBytes = PartitionCache::DefaultMaxBytes;
 };
 

@@ -144,6 +144,38 @@ struct SampledShard {
   }
 };
 
+/// The exact global Mattson walk, the one place distances become
+/// curves: every reference's global stack distance, or its cold miss,
+/// is filed under curve BucketOf[site]. An empty table files everything
+/// under one curve; a site past the table's end files with UnknownSite.
+/// A curve sets only Reference, ColdWeight, StackDistances, TotalRefs.
+std::vector<MissRatioCurve>
+globalStackPass(std::span<const MemoryRecord> Records,
+                const CacheGeometry &Reference,
+                std::span<const uint32_t> BucketOf) {
+  std::vector<MissRatioCurve> Curves(
+      BucketOf.empty() ? 1 : *std::max_element(BucketOf.begin(),
+                                               BucketOf.end()) + 1);
+  ReuseDistanceAnalyzer Global;
+  for (const MemoryRecord &R : Records) {
+    MissRatioCurve &Curve =
+        BucketOf.empty()
+            ? Curves.front()
+            : Curves[BucketOf[R.Site < BucketOf.size() ? R.Site
+                                                       : UnknownSite]];
+    const uint64_t Distance = Global.access(Reference.lineAddrOf(R.Addr));
+    if (Distance == ReuseDistanceAnalyzer::Infinite)
+      ++Curve.ColdWeight;
+    else
+      Curve.StackDistances.add(Distance);
+  }
+  for (MissRatioCurve &Curve : Curves) {
+    Curve.Reference = Reference;
+    Curve.TotalRefs = Curve.scaledRefs();
+  }
+  return Curves;
+}
+
 /// Exact pass: task 0 is the whole-stream global Mattson pass (the
 /// curve cannot decompose by set); tasks 1..K are the per-set stacks
 /// of the grant's K set shards. Each shard sees its refs in ascending
@@ -163,12 +195,11 @@ void exactPass(std::span<const MemoryRecord> Records, const MrcOptions &Opts,
   if (Grant.sharded())
     Parts = routeOrReuse(Records, Opts.Reference, Plan, Ctx, Grant.helpers());
 
-  ReuseDistanceAnalyzer Global;
+  std::vector<MissRatioCurve> Global;
   std::vector<std::optional<PerSetStackPass>> Passes(Plan.size());
   Grant.run(Plan.size() + 1, [&](size_t Task) {
     if (Task == 0) {
-      for (const MemoryRecord &R : Records)
-        Global.access(Opts.Reference.lineAddrOf(R.Addr));
+      Global = globalStackPass(Records, Opts.Reference, {});
       return;
     }
     const size_t S = Task - 1;
@@ -183,8 +214,8 @@ void exactPass(std::span<const MemoryRecord> Records, const MrcOptions &Opts,
     }
   });
 
-  Curve.ColdWeight = Global.coldCount();
-  Curve.StackDistances = Global.distances();
+  Curve.ColdWeight = Global.front().ColdWeight;
+  Curve.StackDistances = std::move(Global.front().StackDistances);
   Curve.HasPerSet = true;
   for (const std::optional<PerSetStackPass> &Pass : Passes) {
     Curve.PerSetDistances.merge(Pass->Distances);
@@ -313,4 +344,18 @@ MissRatioCurve MrcEngine::compute(const Trace &T, const MrcOptions &Opts,
   else
     exactPass(T.records(), Opts, Ctx, Curve);
   return Curve;
+}
+
+AttributedCurves MrcEngine::computeBySite(const Trace &T,
+                                          const CacheGeometry &Reference,
+                                          std::span<const uint32_t> BucketOf) {
+  AttributedCurves Out;
+  Out.Buckets = globalStackPass(T.records(), Reference, BucketOf);
+  Out.Program.TotalRefs = T.size();
+  Out.Program.Reference = Reference;
+  for (const MissRatioCurve &Bucket : Out.Buckets) {
+    Out.Program.ColdWeight += Bucket.ColdWeight;
+    Out.Program.StackDistances.merge(Bucket.StackDistances);
+  }
+  return Out;
 }

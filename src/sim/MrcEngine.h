@@ -13,9 +13,13 @@
 ///
 ///  * Exact fully-associative curve — Mattson's stack algorithm: a
 ///    reference with reuse distance D hits every LRU cache of more
-///    than D lines (ReuseDistanceAnalyzer does the O(log n) distance
-///    bookkeeping), so the global stack-distance histogram plus the
-///    cold-miss count *is* the curve, cold misses included.
+///    than D lines (sim/ReuseDistance.h measures each distance in
+///    O(log n)), so the global stack-distance histogram plus the
+///    cold-miss count *is* the curve, cold misses included. The engine
+///    holds the only walk that turns distances into curves: it files
+///    each reference under a caller-given site -> bucket table, so the
+///    per-loop curves of the consistency check (computeBySite) and the
+///    program curve of compute() come from the same pass.
 ///
 ///  * Exact per-set curve at the reference geometry — the same theorem
 ///    applied per cache set: a reference hits an A-way set-associative
@@ -54,6 +58,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 namespace ccprof {
 
@@ -156,6 +162,16 @@ struct MissRatioCurve {
   double modelMissRatioAt(const CacheGeometry &Geometry) const;
 };
 
+/// The curves of one exact global pass whose references were filed by
+/// site (MrcEngine::computeBySite). Bucket curves keep *global* stack
+/// distances, so their histograms, cold counts and totals sum to the
+/// program curve's.
+struct AttributedCurves {
+  MissRatioCurve Program;
+  /// One curve per bucket of the caller's table, indexed by bucket.
+  std::vector<MissRatioCurve> Buckets;
+};
+
 /// Single-pass MRC construction over a trace.
 class MrcEngine {
 public:
@@ -169,6 +185,15 @@ public:
   /// shape.
   static MissRatioCurve compute(const Trace &T, const MrcOptions &Opts,
                                 const SimContext &Ctx = SimContext{});
+
+  /// The exact fully-associative pass of compute() alone, at \p
+  /// Reference's line size, with each reference's distance or cold miss
+  /// filed under bucket \p BucketOf[site]. A site past the table's end
+  /// is filed with UnknownSite; an empty table means one bucket. No
+  /// curve has a per-set histogram.
+  static AttributedCurves computeBySite(const Trace &T,
+                                        const CacheGeometry &Reference,
+                                        std::span<const uint32_t> BucketOf);
 };
 
 } // namespace ccprof

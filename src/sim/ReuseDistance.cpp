@@ -32,7 +32,6 @@ uint64_t ReuseDistanceAnalyzer::access(uint64_t LineAddr) {
   auto [It, Inserted] = LastAccess.try_emplace(LineAddr, Clock);
   if (Inserted) {
     bitAdd(Clock, +1);
-    ++ColdCount;
     return Infinite;
   }
 
@@ -43,7 +42,6 @@ uint64_t ReuseDistanceAnalyzer::access(uint64_t LineAddr) {
   bitAdd(Previous, -1);
   bitAdd(Clock, +1);
   It->second = Clock;
-  Distances.add(Distance);
   return Distance;
 }
 
@@ -54,37 +52,6 @@ bool ReuseDistanceAnalyzer::evict(uint64_t LineAddr) {
   bitAdd(It->second, -1);
   LastAccess.erase(It);
   return true;
-}
-
-double ReuseDistanceAnalyzer::missRatioAtCapacity(uint64_t CacheLines) const {
-  if (Distances.empty())
-    return 0.0;
-  const uint64_t Hits = Distances.countBelow(CacheLines);
-  return 1.0 -
-         static_cast<double>(Hits) / static_cast<double>(Distances.total());
-}
-
-uint64_t
-ReuseDistanceAnalyzer::overallMissCountAtCapacity(uint64_t CacheLines) const {
-  return ColdCount + (Distances.total() - Distances.countBelow(CacheLines));
-}
-
-double
-ReuseDistanceAnalyzer::overallMissRatioAtCapacity(uint64_t CacheLines) const {
-  const uint64_t Refs = totalRefs();
-  if (Refs == 0)
-    return 0.0;
-  return static_cast<double>(overallMissCountAtCapacity(CacheLines)) /
-         static_cast<double>(Refs);
-}
-
-void ReuseDistanceAnalyzer::reset() {
-  Bit.assign(1, 0);
-  Marks.assign(1, 0);
-  LastAccess.clear();
-  Clock = 0;
-  ColdCount = 0;
-  Distances = Histogram{};
 }
 
 void ReuseDistanceAnalyzer::grow(size_t MinSize) {

@@ -12,6 +12,11 @@
 /// predicts a capacity miss under fully-associative LRU. Implemented with
 /// a Fenwick tree over access timestamps: O(log n) per reference.
 ///
+/// The analyzer only measures distances: it keeps no histogram and no
+/// cold count. Callers record what they need from each returned
+/// distance; the exact pass in sim/MrcEngine.cpp is the one place that
+/// turns them into miss-ratio curves.
+///
 /// The timestamp space is compacted automatically once most timestamps
 /// are dead (their line has been re-referenced or evicted), so the
 /// Fenwick footprint tracks the number of *live* lines, not the total
@@ -23,8 +28,6 @@
 #ifndef CCPROF_SIM_REUSEDISTANCE_H
 #define CCPROF_SIM_REUSEDISTANCE_H
 
-#include "support/Histogram.h"
-
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
@@ -34,7 +37,7 @@
 
 namespace ccprof {
 
-/// Streaming exact reuse-distance analyzer over cache-line addresses.
+/// Streaming exact reuse-distance oracle over cache-line addresses.
 class ReuseDistanceAnalyzer {
 public:
   /// Distance reported for a first-touch (cold) reference.
@@ -59,39 +62,6 @@ public:
   /// reservoir in sampled mode; equal to the footprint in exact mode).
   size_t trackedLines() const { return LastAccess.size(); }
 
-  /// Histogram of all finite distances observed so far. Cold (first
-  /// touch) references are *not* recorded here; they are counted in
-  /// coldCount().
-  const Histogram &distances() const { return Distances; }
-
-  /// Number of cold (first-touch) references observed.
-  uint64_t coldCount() const { return ColdCount; }
-
-  /// Total references observed == coldCount() + distances().total().
-  uint64_t totalRefs() const { return ColdCount + Distances.total(); }
-
-  /// Fraction of *reuse* references (finite distances only — the
-  /// denominator is distances().total(), cold misses excluded from both
-  /// sides) whose distance is >= \p CacheLines: the predicted
-  /// capacity-miss ratio *among reuses* for a fully-associative LRU
-  /// cache with that many lines. For the overall miss ratio of the whole
-  /// reference stream, use overallMissRatioAtCapacity().
-  double missRatioAtCapacity(uint64_t CacheLines) const;
-
-  /// Overall predicted miss ratio of the full reference stream for a
-  /// fully-associative LRU cache of \p CacheLines lines:
-  /// (coldCount() + #(distance >= CacheLines)) / totalRefs(). Cold
-  /// misses count as misses and the denominator is every reference, so
-  /// this matches what simulating FullyAssociativeLru over the same
-  /// stream reports.
-  double overallMissRatioAtCapacity(uint64_t CacheLines) const;
-
-  /// Predicted miss *count* companion of overallMissRatioAtCapacity():
-  /// coldCount() + #(distance >= CacheLines).
-  uint64_t overallMissCountAtCapacity(uint64_t CacheLines) const;
-
-  void reset();
-
 private:
   // Fenwick tree over timestamps: Marks[t] == 1 iff timestamp t is the
   // most recent access of some line; Bit is its Fenwick prefix-sum form.
@@ -104,8 +74,6 @@ private:
   std::vector<uint8_t> Marks;  ///< Raw marks, kept for rebuilds on growth.
   std::unordered_map<uint64_t, size_t> LastAccess; ///< line -> timestamp.
   size_t Clock = 0;
-  uint64_t ColdCount = 0;
-  Histogram Distances;
 };
 
 /// Per-set most-recently-used line stacks, each capped at a fixed depth:

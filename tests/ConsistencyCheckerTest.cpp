@@ -17,12 +17,18 @@
 #include "analysis/StaticConflictAnalyzer.h"
 #include "cfg/SyntheticCodeGen.h"
 #include "core/Profiler.h"
+#include "sim/MrcEngine.h"
+#include "support/Rng.h"
 #include "trace/Canonicalize.h"
 
 #include "gtest/gtest.h"
 
+#include <cstdlib>
+#include <iostream>
 #include <iterator>
+#include <map>
 #include <set>
+#include <unordered_map>
 
 namespace {
 
@@ -229,6 +235,123 @@ TEST(ConsistencyCheckerTest, VictimSetBarRule) {
   // Zero-miss sets do not dilute the mean: utilized sets are {50, 10},
   // mean 30, bar 60 — nobody qualifies.
   EXPECT_TRUE(Checker.victimSetsFromMisses({50, 0, 0, 10}).empty());
+}
+
+/// Seeded differential test of the measured curves: random multi-site
+/// traces, each with a site past the registry's end (and UnknownSite),
+/// a site outside every loop, and sites in a flat and a nested loop.
+/// The program curve must equal MrcEngine's exact curve, the per-loop
+/// curves must partition it, and on short traces each loop's histogram
+/// must equal a naive count of distinct lines since the last use. The
+/// base seed is printed; set CCPROF_DIFF_SEED to replay a run.
+TEST(ConsistencyCheckerTest, MeasuredCurvesMatchExactPassAndNaiveOracle) {
+  uint64_t Seed = 0xc0de'cafe;
+  if (const char *Env = std::getenv("CCPROF_DIFF_SEED"))
+    Seed = std::strtoull(Env, nullptr, 0);
+  std::cout << "[ seed     ] CCPROF_DIFF_SEED=" << Seed << "\n";
+  RecordProperty("seed", std::to_string(Seed));
+
+  // Loops at lines 10 (body 11) and 20 (body 21), with a child loop at
+  // 22 (body 23); line 30 is straight-line code inside the function.
+  FunctionSpec F;
+  F.Name = "kernel";
+  F.StartLine = 9;
+  F.EndLine = 32;
+  F.AccessLines = {30};
+  F.Loops = {LoopSpec{10, 12, {11}, {}, {}},
+             LoopSpec{20, 26, {21}, {}, {LoopSpec{22, 25, {23}, {}, {}}}}};
+  BinaryImage Image = lowerToBinary("sim.cpp", {F});
+  ProgramStructure Structure(Image);
+
+  Xoshiro256 Rng(Seed);
+  for (unsigned Case = 0; Case < 48; ++Case) {
+    const bool Short = Case % 2 == 0;
+    const size_t NumRefs =
+        Short ? Rng.nextBounded(300) : 2000 + Rng.nextBounded(20000);
+    const uint32_t LineBytes = 32u << Rng.nextBounded(3);
+    const CacheGeometry Geometry(32 * 1024, LineBytes, 8);
+    const uint64_t Footprint = LineBytes * (4 + Rng.nextBounded(400));
+
+    Trace T;
+    const SiteId Sites[] = {T.site("sim.cpp", 11), T.site("sim.cpp", 21),
+                            T.site("sim.cpp", 23), T.site("sim.cpp", 30)};
+    const SiteId PastEnd = static_cast<SiteId>(T.sites().size() + 3);
+    const std::map<SiteId, std::string> LocationOf = {
+        {Sites[0], "sim.cpp:10"}, {Sites[1], "sim.cpp:20"},
+        {Sites[2], "sim.cpp:22"}, {Sites[3], "sim.cpp:30"},
+        {PastEnd, ""},            {UnknownSite, ""}};
+    const SiteId Drawn[] = {Sites[0], Sites[1], Sites[2],
+                            Sites[3], PastEnd,  UnknownSite};
+    for (size_t I = 0; I < NumRefs; ++I)
+      T.recordLoad(Drawn[Rng.nextBounded(std::size(Drawn))],
+                   Rng.nextBounded(Footprint), 8);
+
+    const MeasuredCurves Curves =
+        ConsistencyChecker::measuredCurvesFromTrace(T, &Structure, Geometry);
+    MrcOptions Opts;
+    Opts.Reference = Geometry;
+    const MissRatioCurve Exact = MrcEngine::compute(T, Opts);
+    const std::string Where = "case " + std::to_string(Case) + ", " +
+                              std::to_string(NumRefs) + " refs";
+    EXPECT_EQ(Curves.Program.TotalRefs, Exact.TotalRefs) << Where;
+    EXPECT_EQ(Curves.Program.ColdWeight, Exact.ColdWeight) << Where;
+    EXPECT_EQ(Curves.Program.StackDistances.buckets(),
+              Exact.StackDistances.buckets())
+        << Where;
+
+    // The per-loop curves partition the program's references.
+    Histogram Stack;
+    uint64_t Cold = 0, Total = 0;
+    for (const auto &[Location, Curve] : Curves.PerLoop) {
+      Stack.merge(Curve.StackDistances);
+      Cold += Curve.ColdWeight;
+      Total += Curve.TotalRefs;
+    }
+    EXPECT_EQ(Stack.buckets(), Curves.Program.StackDistances.buckets())
+        << Where;
+    EXPECT_EQ(Cold, Curves.Program.ColdWeight) << Where;
+    EXPECT_EQ(Total, Curves.Program.TotalRefs) << Where;
+
+    if (Short) {
+      // O(n^2) oracle: distinct lines touched since the previous use,
+      // filed under the reference's expected location.
+      struct Expected {
+        Histogram Stack;
+        uint64_t Cold = 0, Total = 0;
+      };
+      std::map<std::string, Expected> Oracle;
+      const std::span<const MemoryRecord> Records = T.records();
+      std::unordered_map<uint64_t, size_t> LastUse;
+      for (size_t I = 0; I < Records.size(); ++I) {
+        const uint64_t Line = Geometry.lineAddrOf(Records[I].Addr);
+        Expected &E = Oracle[LocationOf.at(Records[I].Site)];
+        ++E.Total;
+        const auto It = LastUse.find(Line);
+        if (It == LastUse.end()) {
+          ++E.Cold;
+        } else {
+          std::set<uint64_t> Distinct;
+          for (size_t J = It->second + 1; J < I; ++J)
+            Distinct.insert(Geometry.lineAddrOf(Records[J].Addr));
+          E.Stack.add(Distinct.size());
+        }
+        LastUse[Line] = I;
+      }
+      ASSERT_EQ(Curves.PerLoop.size(), Oracle.size()) << Where;
+      for (const auto &[Location, E] : Oracle) {
+        const auto It = Curves.PerLoop.find(Location);
+        ASSERT_NE(It, Curves.PerLoop.end()) << Where << ", " << Location;
+        EXPECT_EQ(It->second.StackDistances.buckets(), E.Stack.buckets())
+            << Where << ", " << Location;
+        EXPECT_EQ(It->second.ColdWeight, E.Cold) << Where << ", " << Location;
+        EXPECT_EQ(It->second.TotalRefs, E.Total) << Where << ", " << Location;
+      }
+    }
+    if (HasFailure()) {
+      std::cout << "replay with CCPROF_DIFF_SEED=" << Seed << "\n";
+      return;
+    }
+  }
 }
 
 } // namespace

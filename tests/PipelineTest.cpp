@@ -398,7 +398,7 @@ TEST(JobRunnerTest, ProgressCallbackSeesEveryJob) {
 }
 
 //===----------------------------------------------------------------------===//
-// Shared-trace engine and miss-stream cache
+// Shared-trace engine and group-local miss streams
 //===----------------------------------------------------------------------===//
 
 TEST(SharedTraceTest, OutputIsByteIdenticalToNaivePath) {

@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "sim/Cache.h"
+#include "sim/MrcEngine.h"
 #include "sim/ReuseDistance.h"
 #include "support/Rng.h"
 
@@ -21,7 +22,7 @@ TEST(ReuseDistanceTest, FirstTouchIsInfinite) {
   ReuseDistanceAnalyzer A;
   EXPECT_EQ(A.access(1), ReuseDistanceAnalyzer::Infinite);
   EXPECT_EQ(A.access(2), ReuseDistanceAnalyzer::Infinite);
-  EXPECT_EQ(A.coldCount(), 2u);
+  EXPECT_NE(A.access(1), ReuseDistanceAnalyzer::Infinite);
 }
 
 TEST(ReuseDistanceTest, ImmediateReuseIsZero) {
@@ -41,32 +42,31 @@ TEST(ReuseDistanceTest, CountsDistinctIntermediateLines) {
 
 TEST(ReuseDistanceTest, CyclicPattern) {
   ReuseDistanceAnalyzer A;
-  // a b c a b c: each reuse has distance 2.
-  for (int Round = 0; Round < 2; ++Round)
-    for (uint64_t L = 0; L < 3; ++L)
-      A.access(L);
-  EXPECT_EQ(A.distances().total(), 3u);
-  EXPECT_EQ(A.distances().count(2), 3u);
+  // a b c a b c: three cold touches, then each reuse has distance 2.
+  for (uint64_t L = 0; L < 3; ++L)
+    EXPECT_EQ(A.access(L), ReuseDistanceAnalyzer::Infinite);
+  for (uint64_t L = 0; L < 3; ++L)
+    EXPECT_EQ(A.access(L), 2u);
 }
 
 TEST(ReuseDistanceTest, MissRatioAtCapacity) {
+  // Among reuses, a capacity-C cache misses those at distance >= C:
+  // the three reuses of a b c a b c all sit at distance 2, so every
+  // one hits 3 lines and misses 2.
   ReuseDistanceAnalyzer A;
-  // Distances: three at 2.
+  uint64_t Reuses = 0, MissAt3 = 0, MissAt2 = 0;
   for (int Round = 0; Round < 2; ++Round)
-    for (uint64_t L = 0; L < 3; ++L)
-      A.access(L);
-  EXPECT_DOUBLE_EQ(A.missRatioAtCapacity(3), 0.0);
-  EXPECT_DOUBLE_EQ(A.missRatioAtCapacity(2), 1.0);
-}
-
-TEST(ReuseDistanceTest, ResetClears) {
-  ReuseDistanceAnalyzer A;
-  A.access(1);
-  A.access(1);
-  A.reset();
-  EXPECT_EQ(A.coldCount(), 0u);
-  EXPECT_TRUE(A.distances().empty());
-  EXPECT_EQ(A.access(1), ReuseDistanceAnalyzer::Infinite);
+    for (uint64_t L = 0; L < 3; ++L) {
+      const uint64_t Distance = A.access(L);
+      if (Distance == ReuseDistanceAnalyzer::Infinite)
+        continue;
+      ++Reuses;
+      MissAt3 += Distance >= 3;
+      MissAt2 += Distance >= 2;
+    }
+  EXPECT_EQ(Reuses, 3u);
+  EXPECT_EQ(MissAt3, 0u);
+  EXPECT_EQ(MissAt2, 3u);
 }
 
 TEST(ReuseDistanceTest, MatchesNaiveReferenceImplementation) {
@@ -94,42 +94,21 @@ TEST(ReuseDistanceTest, MatchesNaiveReferenceImplementation) {
 }
 
 TEST(ReuseDistanceTest, OverallMissRatioIsColdInclusive) {
-  ReuseDistanceAnalyzer A;
   // a b c a b c: 3 cold misses, 3 reuses at distance 2, 6 refs total.
+  // The curve of the exact pass counts cold misses as misses and every
+  // reference in the denominator.
+  const CacheGeometry Lines(32 * 1024, 64, 8);
+  Trace T;
   for (int Round = 0; Round < 2; ++Round)
     for (uint64_t L = 0; L < 3; ++L)
-      A.access(L);
-  EXPECT_EQ(A.totalRefs(), 6u);
-  // Reuse-only denominator: all 3 reuses hit at capacity 3.
-  EXPECT_DOUBLE_EQ(A.missRatioAtCapacity(3), 0.0);
-  // Cold-inclusive denominator counts the 3 compulsory misses too.
-  EXPECT_EQ(A.overallMissCountAtCapacity(3), 3u);
-  EXPECT_DOUBLE_EQ(A.overallMissRatioAtCapacity(3), 0.5);
-  EXPECT_EQ(A.overallMissCountAtCapacity(2), 6u);
-  EXPECT_DOUBLE_EQ(A.overallMissRatioAtCapacity(2), 1.0);
-}
-
-TEST(ReuseDistanceTest, OverallMissCountMatchesLruReplay) {
-  // overallMissCountAtCapacity(C) must equal an actual C-line
-  // fully-associative LRU replay, for every capacity.
-  Xoshiro256 Rng(0xabcd);
-  std::vector<uint64_t> Lines;
-  for (int I = 0; I < 5000; ++I)
-    Lines.push_back(Rng.nextBounded(48));
-  ReuseDistanceAnalyzer A;
-  for (uint64_t Line : Lines)
-    A.access(Line);
-  for (uint64_t Capacity : {1u, 2u, 8u, 16u, 32u, 48u, 64u}) {
-    FullyAssociativeLru Cache(Capacity);
-    uint64_t Misses = 0;
-    for (uint64_t Line : Lines)
-      Misses += Cache.access(Line) ? 0 : 1;
-    EXPECT_EQ(A.overallMissCountAtCapacity(Capacity), Misses)
-        << "capacity " << Capacity;
-    EXPECT_DOUBLE_EQ(A.overallMissRatioAtCapacity(Capacity),
-                     static_cast<double>(Misses) /
-                         static_cast<double>(Lines.size()));
-  }
+      T.recordLoad(UnknownSite, L * 64, 8);
+  const MissRatioCurve Curve = MrcEngine::computeBySite(T, Lines, {}).Program;
+  EXPECT_EQ(Curve.TotalRefs, 6u);
+  EXPECT_EQ(Curve.ColdWeight, 3u);
+  EXPECT_EQ(Curve.missWeightAtLines(3), 3u);
+  EXPECT_DOUBLE_EQ(Curve.missRatioAtLines(3), 0.5);
+  EXPECT_EQ(Curve.missWeightAtLines(2), 6u);
+  EXPECT_DOUBLE_EQ(Curve.missRatioAtLines(2), 1.0);
 }
 
 TEST(ReuseDistanceTest, EvictForgetsALine) {

@@ -629,22 +629,12 @@ int commandBatch(const Positionals &Args, const CliOptions &Options) {
     }
   }
 
+  // The first line depends only on the job list; the second holds the
+  // counts that depend on which budget slots were idle when each
+  // simulation started, so only the first can be diffed between runs.
   std::cout << "batch: " << Shared.TraceGroups << " trace group(s); "
-            << "miss-stream cache: " << Shared.Streams.Hits << " hit(s), "
-            << Shared.Streams.Misses << " simulation(s)";
-  if (Shared.ShardedSims) {
-    std::cout << "; " << Shared.ShardedSims << " sharded sim(s)";
-    // An explicit --shards on an exhausted budget still shards, but
-    // one thread replays every shard serially — call that out so a
-    // sweep over --shards is not mistaken for parallel execution.
-    if (Shared.UnhelpedShardedSims)
-      std::cout << ", " << Shared.UnhelpedShardedSims
-                << " unhelped (serialized on one thread)";
-  }
-  if (Shared.PartitionBuilds || Shared.PartitionReuses)
-    std::cout << "; partitions: " << Shared.PartitionBuilds
-              << " routed, " << Shared.PartitionReuses
-              << " reused (route once, replay many)";
+            << "miss streams: " << Shared.Streams.Misses << " simulated, "
+            << Shared.Streams.Hits << " reused";
   if (Exec.StaticScreen)
     std::cout << "; static screen skipped " << Shared.StaticSkipped
               << " job(s) (" << Shared.StaticScreenedGroups
@@ -654,6 +644,19 @@ int commandBatch(const Positionals &Args, const CliOptions &Options) {
     std::cout << "; mrc: " << Shared.MrcGroups << " curve(s) answered "
               << Shared.MrcRoutedJobs << " job(s) in one pass";
   std::cout << '\n';
+  if (Shared.ShardedSims || Shared.PartitionBuilds) {
+    std::cout << "batch: timing-dependent at automatic shard counts: "
+              << Shared.ShardedSims << " sharded sim(s)";
+    // An explicit --shards on an exhausted budget still shards, but
+    // one thread replays every shard serially — call that out so a
+    // sweep over --shards is not mistaken for parallel execution.
+    if (Shared.UnhelpedShardedSims)
+      std::cout << ", " << Shared.UnhelpedShardedSims
+                << " unhelped (serialized on one thread)";
+    std::cout << "; partitions: " << Shared.PartitionBuilds << " routed, "
+              << Shared.PartitionReuses << " reused (route once, replay many)"
+              << '\n';
+  }
 
   std::cout << "batch: wrote "
             << (Outcomes.size() - Failures - Skipped - Predicted)
